@@ -88,6 +88,6 @@ pub use session::{run_scoped, DynScopeExt, ScopeControl, TmScopeExt, WorkerSessi
 pub use stats::{PathKind, PathProbe, RetryMetrics, Stopwatch, TxStats};
 pub use traits::{TmRuntime, TmThread, Txn};
 pub use typed::{
-    Codec, Field, FieldArray, LayoutBuilder, OrSized, Record, TxCell, TxFreeList, TxLayout, TxPtr,
-    TxRecords, TxSlice, TypedAlloc, NULL_PTR_WORD,
+    Codec, Field, FieldArray, LayoutBuilder, OrSized, Record, TxCell, TxLayout, TxPtr, TxRecords,
+    TxSlice, TypedAlloc, NULL_PTR_WORD,
 };

@@ -1,9 +1,8 @@
 //! Epoch-based reclamation: typed node pools over the per-thread arenas.
 //!
-//! The structures used to manage free nodes with the transactional
-//! [`crate::typed::TxFreeList`] — a linked list *inside* the heap whose
-//! every push/pop joined the surrounding transaction's read and write
-//! sets.  That coupled spare management to the hottest transactions and
+//! The structures used to manage free nodes with a transactional
+//! freelist — a linked list *inside* the heap whose every push/pop joined
+//! the surrounding transaction's read and write sets.  That coupled spare management to the hottest transactions and
 //! still never returned memory: an unlinked node could only ever be reused
 //! by the one structure whose freelist held it, and only through more
 //! transactional traffic.
@@ -229,10 +228,10 @@ impl<R: Record> NodePool<R> {
         // Per-thread recycling alone is unbounded under skewed mixes: a
         // thread whose draws lean toward inserts keeps allocating while
         // another thread's slot piles up retirees, growing the heap for
-        // the run's whole duration (the shared TxFreeList never had this
-        // failure mode).  The scan is gated on the global pending count so
-        // pure growth, with nothing recyclable anywhere, goes straight to
-        // the arena.
+        // the run's whole duration (a shared transactional freelist never
+        // had this failure mode).  The scan is gated on the global pending
+        // count so pure growth, with nothing recyclable anywhere, goes
+        // straight to the arena.
         if self.retired_total.load(Ordering::Relaxed) > self.reclaimed_total.load(Ordering::Relaxed)
         {
             // Age the pending retirees first: the local block only nudges

@@ -18,9 +18,7 @@
 //!   place of hand-numbered offset constants,
 //! * [`TypedAlloc`] — typed bump allocation over [`TmMemory`], with a
 //!   checked [`Result`]-returning path ([`rhtm_mem::OutOfMemory`]) for
-//!   prefill code that wants to report sizing errors cleanly,
-//! * [`TxFreeList<R>`] — the transactional in-heap freelist idiom shared
-//!   by shape-changing structures.
+//!   prefill code that wants to report sizing errors cleanly.
 //!
 //! # Zero cost
 //!
@@ -541,9 +539,8 @@ impl<R> std::fmt::Debug for TxRecords<R> {
 /// A typed scalar-field handle: the offset of one word inside records of
 /// type `R`, carrying the field's value type `T`.
 ///
-/// Minted by [`LayoutBuilder::field`] (or [`FieldArray::slot_field`]); the
-/// phantom `R` prevents a field handle from being used on a pointer to a
-/// different record type.
+/// Minted by [`LayoutBuilder::field`]; the phantom `R` prevents a field
+/// handle from being used on a pointer to a different record type.
 pub struct Field<R, T> {
     offset: usize,
     _marker: PhantomData<fn() -> (R, T)>,
@@ -589,22 +586,6 @@ impl<R, T: Codec> FieldArray<R, T> {
     #[allow(clippy::len_without_is_empty)]
     pub const fn len(self) -> usize {
         self.len
-    }
-
-    /// The scalar-field handle of element `index`, for APIs that want one
-    /// designated slot (e.g. [`TxFreeList`] reusing a link array's level-0
-    /// slot as the free-chain link).
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in const contexts) if `index >= len`.
-    #[inline(always)]
-    pub const fn slot_field(self, index: usize) -> Field<R, T> {
-        assert!(index < self.len, "array field slot out of bounds");
-        Field {
-            offset: self.offset + index,
-            _marker: PhantomData,
-        }
     }
 }
 
@@ -899,78 +880,6 @@ impl<T> OrSized<T> for Result<T, OutOfMemory> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Transactional freelist
-// ---------------------------------------------------------------------
-
-/// A transactional in-heap freelist of `R` records.
-///
-/// **Legacy compatibility API.**  The workspace structures have migrated
-/// to [`crate::reclaim::NodePool`], which recycles through per-thread
-/// epoch-stamped pools instead of a shared transactional chain: pushing
-/// the free link through the write set made every remove/insert pair
-/// conflict on the freelist head, and nodes were recycled the instant the
-/// remove committed, which is only sound while *all* traversals are fully
-/// transactional.  The type stays for out-of-tree users of the idiom and
-/// as the reference point the epoch scheme is argued against (see
-/// `docs/ARCHITECTURE.md`, "Memory subsystem").
-///
-/// The original idiom: removed records are pushed here and reused by
-/// later inserts *inside the same transactional world* — every link
-/// traversal is a transactional read, so there is no ABA.  One designated
-/// link field of the record doubles as the free-chain link (free records
-/// are unreachable from the live structure, so the reuse is safe).
-pub struct TxFreeList<R: Record> {
-    head: TxCell<Option<TxPtr<R>>>,
-    link: Field<R, Option<TxPtr<R>>>,
-}
-
-impl<R: Record> TxFreeList<R> {
-    /// Creates an empty freelist whose chain runs through `link`,
-    /// allocating (and initialising) the one-word head in `mem`.
-    pub fn new(mem: &TmMemory, link: Field<R, Option<TxPtr<R>>>) -> Self {
-        match Self::try_new(mem, link) {
-            Ok(list) => list,
-            Err(oom) => panic!("{oom}"),
-        }
-    }
-
-    /// Checked variant of [`TxFreeList::new`].
-    pub fn try_new(mem: &TmMemory, link: Field<R, Option<TxPtr<R>>>) -> Result<Self, OutOfMemory> {
-        let head: TxCell<Option<TxPtr<R>>> = mem.try_alloc_cell()?;
-        head.store(mem.heap(), None);
-        Ok(TxFreeList { head, link })
-    }
-
-    /// The head cell (for non-transactional emptiness peeks outside a
-    /// transaction, e.g. deciding whether to pre-allocate a spare).
-    #[inline(always)]
-    pub fn head(&self) -> TxCell<Option<TxPtr<R>>> {
-        self.head
-    }
-
-    /// Transactionally pushes `node` onto the freelist.
-    #[inline]
-    pub fn push<X: Txn + ?Sized>(&self, tx: &mut X, node: TxPtr<R>) -> TxResult<()> {
-        let old = self.head.read(tx)?;
-        node.field(self.link).write(tx, old)?;
-        self.head.write(tx, Some(node))
-    }
-
-    /// Transactionally pops a record, or `None` when the list is empty.
-    #[inline]
-    pub fn pop<X: Txn + ?Sized>(&self, tx: &mut X) -> TxResult<Option<TxPtr<R>>> {
-        match self.head.read(tx)? {
-            Some(node) => {
-                let next = node.field(self.link).read(tx)?;
-                self.head.write(tx, next)?;
-                Ok(Some(node))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,7 +914,6 @@ mod tests {
         assert_eq!(FLAGS.offset(), 2);
         assert_eq!(FLAGS.len(), 3);
         assert_eq!(Pair::WORDS, 8);
-        assert_eq!(FLAGS.slot_field(2).offset(), 4);
     }
 
     #[test]
@@ -1109,24 +1017,5 @@ mod tests {
             cells += 1;
         }
         assert!(cells < Pair::WORDS);
-    }
-
-    #[test]
-    fn freelist_recycles_in_lifo_order() {
-        let rt = DirectRuntime::new(256);
-        let free: TxFreeList<Pair> = TxFreeList::new(rt.mem(), NEXT);
-        let a = rt.mem().alloc_record::<Pair>();
-        let b = rt.mem().alloc_record::<Pair>();
-        let mut th = rt.register_thread();
-        th.execute(|tx| {
-            free.push(tx, a)?;
-            free.push(tx, b)?;
-            Ok(())
-        });
-        let (x, y, z) = th.execute(|tx| Ok((free.pop(tx)?, free.pop(tx)?, free.pop(tx)?)));
-        assert_eq!(x, Some(b));
-        assert_eq!(y, Some(a));
-        assert_eq!(z, None);
-        assert_eq!(free.head().load(rt.mem().heap()), None);
     }
 }

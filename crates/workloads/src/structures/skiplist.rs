@@ -12,19 +12,21 @@
 //! bounded:
 //!
 //! * **Deterministic tower heights.**  A node's height is a pure function
-//!   of its key (geometric over a key hash, capped at [`MAX_HEIGHT`]), so
-//!   the structure's shape depends only on its key set — not on insertion
-//!   order, thread count or RNG state — and a reinserted key always fits
-//!   the node that held it before.
+//!   of its key (geometric with p = 1/4 over a key hash, capped at
+//!   [`MAX_HEIGHT`]), so the structure's shape depends only on its key
+//!   set — not on insertion order, thread count or RNG state — and a
+//!   reinserted key always fits the node that held it before.  At p = 1/4
+//!   a search reads about twice as many nodes per level as at p = 1/2 over
+//!   half as many levels — the same expected total — while towers average
+//!   1.33 links instead of 2 and the capped levels cover far more keys.
 //! * **Epoch-based node reclamation** ([`rhtm_api::reclaim::NodePool`]).
 //!   Spare nodes are allocated from the calling thread's arena *before*
 //!   the transaction (aborted retries never allocate again); a committed
 //!   remove retires its node *after* the transaction, and the pool reuses
 //!   it once every thread has passed the retiring epoch.  Steady-state
 //!   insert/remove churn therefore does not grow the heap — a requirement
-//!   for time-bounded runs over the append-only allocator — and, unlike
-//!   the old in-heap `TxFreeList`, spare management never joins the
-//!   transactions' read/write sets.
+//!   for time-bounded runs over the append-only allocator — and spare
+//!   management never joins the transactions' read/write sets.
 //! * **Bulk seeding** ([`SkipListSeeder`]).  Prefill appends ascending
 //!   keys in O(1) per key through a tail-pointer array and carves nodes
 //!   from the heap in chunks, so million-key scenarios initialise in
@@ -47,9 +49,10 @@ use crate::mix::OpKind;
 use crate::rng::WorkloadRng;
 use crate::workload::Workload;
 
-/// Maximum tower height; supports ~2^12 elements at the classic p = 1/2
-/// level geometry without degenerating (larger sets still work — towers
-/// just saturate, adding a linear tail to the top-level scan).
+/// Maximum tower height; at the p = 1/4 level geometry it keeps searches
+/// logarithmic up to ~4^11 ≈ 4M elements per list (larger sets still
+/// work — towers just saturate, adding a linear tail to the top-level
+/// scan).
 pub const MAX_HEIGHT: usize = 12;
 
 /// Keys spanned by one `RangeSum` operation of the [`Workload`] impl.
@@ -207,14 +210,14 @@ impl TxSkipList {
         self.pool.retire(thread_id, node, metrics);
     }
 
-    /// Deterministic tower height for `key`: geometric(1/2) over a
-    /// key hash, in `1..=MAX_HEIGHT`.
+    /// Deterministic tower height for `key`: geometric(1/4) over a
+    /// key hash, in `1..=MAX_HEIGHT` — two trailing zero bits per level.
     fn height_for(key: u64) -> usize {
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        1 + (z.trailing_zeros() as usize).min(MAX_HEIGHT - 1)
+        1 + (z.trailing_zeros() as usize / 2).min(MAX_HEIGHT - 1)
     }
 
     /// Finds, per level, the last node with key `< key`, plus the node with
@@ -433,35 +436,39 @@ impl TxSkipList {
     }
 
     /// Non-transactional structural check for tests run after all threads
-    /// have joined: every level is strictly sorted, every tower member is
-    /// reachable at level 0, and no level links to a node shorter than it.
+    /// have joined: level 0 is strictly sorted, every node's stored height
+    /// is its key's deterministic height, and each level `L` links exactly
+    /// the level-0 nodes taller than `L`, in order — so no tower misses a
+    /// level of its own and no level links a stray or too-short node.
     pub fn is_well_formed_quiescent(&self) -> bool {
-        let level0: Vec<u64> = {
-            let mut keys = Vec::new();
-            let mut curr = self.sim.nt_read(self.head.slot(NEXT, 0));
-            while let Some(n) = curr {
-                keys.push(self.sim.nt_read(n.field(KEY)));
-                curr = self.sim.nt_read(n.slot(NEXT, 0));
+        let mut level0 = Vec::new();
+        let mut curr = self.sim.nt_read(self.head.slot(NEXT, 0));
+        while let Some(n) = curr {
+            let k = self.sim.nt_read(n.field(KEY));
+            let h = self.sim.nt_read(n.field(HEIGHT));
+            if h != Self::height_for(k) {
+                return false;
             }
-            keys
-        };
-        if level0.windows(2).any(|w| w[0] >= w[1]) {
+            level0.push((n, k, h));
+            curr = self.sim.nt_read(n.slot(NEXT, 0));
+        }
+        if level0.windows(2).any(|w| w[0].1 >= w[1].1) {
             return false;
         }
-        for level in 1..MAX_HEIGHT {
-            let mut prev = 0u64; // head sentinel key
+        (1..MAX_HEIGHT).all(|level| {
+            let mut want = level0
+                .iter()
+                .filter(|&&(_, _, h)| h > level)
+                .map(|&(n, _, _)| n);
             let mut curr = self.sim.nt_read(self.head.slot(NEXT, level));
             while let Some(n) = curr {
-                let k = self.sim.nt_read(n.field(KEY));
-                let h = self.sim.nt_read(n.field(HEIGHT));
-                if k <= prev || h <= level || level0.binary_search(&k).is_err() {
+                if want.next() != Some(n) {
                     return false;
                 }
-                prev = k;
                 curr = self.sim.nt_read(n.slot(NEXT, level));
             }
-        }
-        true
+            want.next().is_none()
+        })
     }
 
     /// Non-transactionally seeds `key → value` during construction, before
@@ -534,16 +541,16 @@ impl TxSkipList {
 /// Construction-time bulk prefill for [`TxSkipList`], proportional to
 /// live data.
 ///
-/// The general seeding path re-traverses the list per key — O(log n) at
-/// best and quadratic on the sorted streams prefill actually produces
-/// (every tower saturated at [`MAX_HEIGHT`] still walks the whole top
-/// level).  The seeder instead keeps the **tail node of every level**:
+/// The general seeding path re-traverses the list per key — O(log n) per
+/// key, and linear once the top level saturates past [`MAX_HEIGHT`]'s
+/// capacity.  The seeder instead keeps the **tail node of every level**:
 /// a key greater than everything seeded so far appends in O(height)
 /// with plain relaxed stores, and node memory is carved from the heap in
 /// `SEED_CHUNK`-node chunks (one allocator CAS per chunk).  Out-of-order
-/// or duplicate keys fall back to [`TxSkipList::try_seed_insert`]
-/// (tails stay valid — a non-maximal key never becomes a level tail... it
-/// can, so the tails are re-walked after a fallback).
+/// or duplicate keys fall back to [`TxSkipList::try_seed_insert`]; such
+/// a key can still end up last on a level it reaches (when it lands
+/// after that level's old tail), so the tails are re-walked after every
+/// fallback.
 ///
 /// Must not run concurrently with transactions (construction only).
 pub struct SkipListSeeder<'a> {
@@ -811,6 +818,63 @@ mod tests {
         }
         // The geometry must actually produce tall towers somewhere.
         assert!((1..2_000u64).any(|k| TxSkipList::height_for(k) >= 4));
+    }
+
+    /// Mean `TxStats::reads` per `contains` over an evenly spaced sample
+    /// of 4096 keys of a full list `1..=n`, seeded in bulk, on one TL2
+    /// thread (no aborts, so every read belongs to the one traversal).
+    fn mean_reads_per_contains(n: u64) -> f64 {
+        let words = TxSkipList::required_words(n, 1);
+        let rt = rhtm_stm::Tl2Runtime::new(MemConfig::with_data_words(words));
+        let list = TxSkipList::new(Arc::clone(rt.sim()), n);
+        let mut seeder = list.seeder();
+        for k in 1..=n {
+            seeder.insert(k, k).unwrap();
+        }
+        drop(seeder);
+        let mut th = rt.register_thread();
+        let probes = 4096;
+        let before = th.stats().reads;
+        for i in 0..probes {
+            assert!(list.contains(&mut th, 1 + i * n / probes));
+        }
+        (th.stats().reads - before) as f64 / probes as f64
+    }
+
+    #[test]
+    fn lookup_reads_grow_logarithmically_with_list_size() {
+        let small = mean_reads_per_contains(1 << 12);
+        let large = mean_reads_per_contains(1 << 18);
+        // 64x the keys is +3 levels at p = 1/4: ~1.4x the reads.  A
+        // geometry whose top level saturates before 2^18 keys turns the
+        // top-level scan linear (the p = 1/2 towers capped at 12 levels
+        // gave ~3.9x).
+        assert!(
+            large / small <= 2.0,
+            "reads per lookup: {small:.1} at 2^12 keys, {large:.1} at 2^18"
+        );
+    }
+
+    #[test]
+    fn well_formed_check_rejects_a_tower_missing_a_middle_level() {
+        let rt = runtime(1 << 16);
+        let list = TxSkipList::new(Arc::clone(rt.sim()), 1_000);
+        list.prefill_alternate();
+        assert!(list.is_well_formed_quiescent());
+        // Unlink one node of height >= 3 from level 1 only: it stays on
+        // levels 0 and 2, so every level is still sorted and links only
+        // tall-enough nodes that level 0 reaches.
+        let sim = list.sim();
+        let mut pred = list.head;
+        let victim = loop {
+            let n = sim.nt_read(pred.slot(NEXT, 1)).expect("a tall tower");
+            if sim.nt_read(n.field(HEIGHT)) >= 3 {
+                break n;
+            }
+            pred = n;
+        };
+        sim.nt_write(pred.slot(NEXT, 1), sim.nt_read(victim.slot(NEXT, 1)));
+        assert!(!list.is_well_formed_quiescent());
     }
 
     #[test]
