@@ -22,10 +22,11 @@
 //!   `Box<dyn DynThread>`.
 //!
 //! Erasure costs one indirect call per *transaction body invocation* and
-//! per access — fine for tests, examples and setup code, wrong for the
-//! measured benchmark loops, which stay on the generic path (the paper's
-//! point is per-access instrumentation cost; virtual dispatch there would
-//! drown it).
+//! per access.  The closed-loop benchmark loops stay on the generic path
+//! (the paper's point is per-access instrumentation cost; virtual dispatch
+//! there would drown it).  The sharded KV service does not: its worker
+//! holds a `Box<dyn DynThread>` per shard, so every KV access, and every
+//! KV benchmark, runs through `&mut dyn Txn`.
 //!
 //! [`AlgoKind`]: ../../rhtm_workloads/enum.AlgoKind.html
 //!

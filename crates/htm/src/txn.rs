@@ -84,6 +84,16 @@ pub struct HtmThread {
     commit_lines: Vec<usize>,
     /// Global write sequence observed at begin / last revalidation.
     start_seq: u64,
+    /// One-entry read cache: the line most recently recorded in
+    /// `read_lines` (`usize::MAX` = none) and the version recorded for it.
+    /// Lets a repeat read of that line skip the `read_lines` probe.
+    last_line: usize,
+    last_ver: u64,
+    /// `validation == Incremental`, copied from the simulator's fixed
+    /// configuration so the read hit path need not reach through it.
+    incremental: bool,
+    /// The simulator's `read_capacity_lines`, copied for the same reason.
+    read_capacity_lines: usize,
     active: bool,
     /// Whether the forced-abort-ratio knob applies to this unit's commits.
     /// The paper's emulation methodology forces the measured abort ratio
@@ -102,7 +112,10 @@ impl HtmThread {
     /// Creates a hardware transaction unit bound to `sim`; `thread_seed`
     /// decorrelates the abort-injection RNG between threads.
     pub fn new(sim: Arc<HtmSim>, thread_seed: u64) -> Self {
-        let seed = sim.config().seed ^ thread_seed.wrapping_mul(0xA24B_AED4_963E_E407);
+        let cfg = sim.config();
+        let seed = cfg.seed ^ thread_seed.wrapping_mul(0xA24B_AED4_963E_E407);
+        let incremental = cfg.validation == ValidationMode::Incremental;
+        let read_capacity_lines = cfg.read_capacity_lines;
         HtmThread {
             sim,
             read_lines: LineMap::with_capacity(64),
@@ -111,6 +124,10 @@ impl HtmThread {
             locked: Vec::with_capacity(32),
             commit_lines: Vec::with_capacity(32),
             start_seq: 0,
+            last_line: usize::MAX,
+            last_ver: 0,
+            incremental,
+            read_capacity_lines,
             active: false,
             forced_injection: true,
             rng: XorShift64::new(seed),
@@ -170,6 +187,7 @@ impl HtmThread {
         self.write_set.clear();
         self.write_lines.clear();
         self.locked.clear();
+        self.last_line = usize::MAX;
         self.start_seq = self.sim.write_seq();
         self.active = true;
     }
@@ -191,6 +209,7 @@ impl HtmThread {
         self.write_set.clear();
         self.write_lines.clear();
         self.locked.clear();
+        self.last_line = usize::MAX;
         self.active = false;
         self.aborts += 1;
     }
@@ -220,13 +239,42 @@ impl HtmThread {
     }
 
     /// Speculative read of the word at `addr`.
+    ///
+    /// The inlined hit path serves a repeat read of the most recently
+    /// recorded line when nothing can have changed the outcome: the write
+    /// set is empty (no buffered value to return), and under incremental
+    /// validation the global write sequence has not moved (no revalidation
+    /// due).  It then needs only the line version on both sides of the load
+    /// to match the one recorded — that version is even, so a matching line
+    /// is also unlocked.  Every other read, including a hit whose versions
+    /// do not match, takes the outlined miss path, which makes the same
+    /// decision the read would have made without the cache.
     #[inline]
     pub fn read(&mut self, addr: Addr) -> TxResult<u64> {
         debug_assert!(self.active, "read outside a hardware transaction");
+        let line = addr.line();
+        if line == self.last_line
+            && self.write_set.is_empty()
+            && (!self.incremental || self.sim.write_seq() == self.start_seq)
+        {
+            let v1 = self.sim.line_version(line);
+            let value = self.sim.mem().heap().load(addr);
+            let v2 = self.sim.line_version(line);
+            if v1 == self.last_ver && v2 == v1 {
+                return Ok(value);
+            }
+        }
+        self.read_miss(addr)
+    }
+
+    /// The full speculative read: read-own-writes, incremental
+    /// revalidation, a version-bracketed load and read-set recording.
+    #[inline(never)]
+    fn read_miss(&mut self, addr: Addr) -> TxResult<u64> {
         if let Some(v) = self.write_set.get(addr) {
             return Ok(v);
         }
-        if self.sim.config().validation == ValidationMode::Incremental {
+        if self.incremental {
             let seq = self.sim.write_seq();
             if seq != self.start_seq {
                 if self.revalidate().is_err() {
@@ -255,11 +303,13 @@ impl HtmThread {
                 }
             }
             None => {
-                if self.read_lines.len() > self.sim.config().read_capacity_lines {
+                if self.read_lines.len() > self.read_capacity_lines {
                     return Err(self.fail(AbortCause::Capacity));
                 }
             }
         }
+        self.last_line = line;
+        self.last_ver = v1;
         Ok(value)
     }
 
@@ -306,7 +356,7 @@ impl HtmThread {
             // Read-only: under commit-only validation the set must be
             // checked now; under incremental validation every read already
             // validated against a consistent snapshot.
-            if cfg.validation == ValidationMode::CommitOnly && self.revalidate().is_err() {
+            if !self.incremental && self.revalidate().is_err() {
                 return Err(self.fail(AbortCause::Conflict));
             }
             self.active = false;
@@ -625,6 +675,145 @@ mod tests {
         }
         stop.store(true, Ordering::SeqCst);
         assert_eq!(reader.join().unwrap(), 0);
+    }
+
+    /// A line-aligned block, so `base` and `base.offset(1..8)` share a line
+    /// and `base.offset(8 * k)` starts line `k` of the block.
+    fn setup_lines(config: HtmConfig) -> (Arc<HtmSim>, Addr) {
+        let (sim, _) = setup(config);
+        let base = sim.mem().alloc_line_aligned(64);
+        assert_eq!(base.offset(7).line(), base.line());
+        (sim, base)
+    }
+
+    const BOTH_MODES: [ValidationMode; 2] =
+        [ValidationMode::Incremental, ValidationMode::CommitOnly];
+
+    #[test]
+    fn nt_store_to_the_cached_line_aborts_the_next_read_of_it() {
+        for mode in BOTH_MODES {
+            let (sim, base) = setup_lines(HtmConfig::default().with_validation(mode));
+            let mut t = HtmThread::new(Arc::clone(&sim), 0);
+            t.begin();
+            assert_eq!(t.read(base).unwrap(), 0);
+            assert_eq!(t.read(base.offset(1)).unwrap(), 0, "{mode:?}: repeat read");
+            sim.nt_store(base.offset(2), 5);
+            let err = t.read(base.offset(1)).unwrap_err();
+            assert_eq!(err.cause, AbortCause::Conflict, "{mode:?}");
+            assert!(!t.is_active());
+            // The cache does not outlive the aborted transaction.
+            t.begin();
+            assert_eq!(t.read(base.offset(2)).unwrap(), 5, "{mode:?}");
+            t.commit().unwrap();
+        }
+    }
+
+    #[test]
+    fn locked_cached_line_aborts_without_returning_a_value() {
+        for mode in BOTH_MODES {
+            let (sim, base) = setup_lines(HtmConfig::default().with_validation(mode));
+            let mut t = HtmThread::new(Arc::clone(&sim), 0);
+            t.begin();
+            t.read(base).unwrap();
+            t.read(base.offset(1)).unwrap();
+            // Another agent locks the line and stores into it mid-publish.
+            let line = base.line();
+            let v = sim.line_version(line);
+            assert!(sim.try_lock_line(line, v));
+            sim.mem().heap().store(base.offset(1), 77);
+            let err = t.read(base.offset(1)).unwrap_err();
+            assert_eq!(err.cause, AbortCause::Conflict, "{mode:?}");
+            sim.unlock_line(line, v);
+        }
+    }
+
+    #[test]
+    fn a_b_a_reads_abort_when_a_changed_in_between() {
+        for mode in BOTH_MODES {
+            let (sim, base) = setup_lines(HtmConfig::default().with_validation(mode));
+            let (a, b) = (base, base.offset(8));
+            let mut t = HtmThread::new(Arc::clone(&sim), 0);
+            t.begin();
+            t.read(a).unwrap();
+            t.read(b).unwrap();
+            t.read(b.offset(1)).unwrap();
+            sim.nt_store(a.offset(1), 3);
+            let err = t.read(a).unwrap_err();
+            assert_eq!(err.cause, AbortCause::Conflict, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn read_after_write_on_the_cached_line_returns_the_buffered_value() {
+        let (sim, base) = setup_lines(HtmConfig::default());
+        let mut t = HtmThread::new(Arc::clone(&sim), 0);
+        t.begin();
+        assert_eq!(t.read(base).unwrap(), 0);
+        assert_eq!(t.read(base.offset(1)).unwrap(), 0);
+        t.write(base.offset(1), 9).unwrap();
+        assert_eq!(t.read(base.offset(1)).unwrap(), 9);
+        assert_eq!(t.read(base).unwrap(), 0);
+        t.commit().unwrap();
+        assert_eq!(sim.nt_load(base.offset(1)), 9);
+    }
+
+    #[test]
+    fn line_cache_keeps_the_footprint_and_the_capacity_abort_point() {
+        let (sim, base) = setup_lines(HtmConfig::with_capacity(4, 64));
+        let mut t = HtmThread::new(sim, 0);
+        t.begin();
+        // Lines 0..4, each read on several words and revisited out of order.
+        for (i, line) in [0, 0, 1, 1, 0, 2, 2, 1, 3, 3, 0].into_iter().enumerate() {
+            t.read(base.offset(line * 8 + i % 8)).unwrap();
+        }
+        assert_eq!(t.read_footprint_lines(), 4);
+        t.read(base.offset(3 * 8)).unwrap();
+        assert_eq!(t.read_footprint_lines(), 4);
+        // The fifth distinct line is the first read over budget.
+        let err = t.read(base.offset(4 * 8)).unwrap_err();
+        assert_eq!(err.cause, AbortCause::Capacity);
+        assert!(!t.is_active());
+    }
+
+    #[test]
+    fn hit_path_never_returns_a_torn_line() {
+        // A writer keeps two words of one line equal; a reader that reads
+        // both in one transaction, mostly through the hit path, for as long
+        // as the writer runs must never see them differ.
+        for mode in BOTH_MODES {
+            let (sim, base) = setup_lines(HtmConfig::default().with_validation(mode));
+            let (x, y) = (base, base.offset(7));
+            let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let writer = {
+                let sim = Arc::clone(&sim);
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    let mut t = HtmThread::new(sim, 1);
+                    for i in 1..=200_000u64 {
+                        t.begin();
+                        let _ = t
+                            .write(x, i)
+                            .and_then(|()| t.write(y, i))
+                            .and_then(|()| t.commit());
+                    }
+                    done.store(true, Ordering::SeqCst);
+                })
+            };
+            let mut t = HtmThread::new(Arc::clone(&sim), 0);
+            let mut torn = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                t.begin();
+                let Ok(first) = t.read(x) else { continue };
+                for _ in 0..32 {
+                    match t.read(y).and_then(|b| Ok((b, t.read(x)?))) {
+                        Ok((b, a)) => torn += u64::from(a != first || b != first),
+                        Err(_) => break,
+                    }
+                }
+            }
+            writer.join().unwrap();
+            assert_eq!(torn, 0, "{mode:?}");
+        }
     }
 
     #[test]
