@@ -108,24 +108,12 @@ impl RhThread {
             let stripe = layout.stripe_of(addr);
             (stripe, layout.stripe_version_addr(stripe))
         };
-        // The loads go through the simulator's publication-aware path so a
-        // hardware commit in flight appears atomic, as it would on real
-        // hardware.
-        let ver_before = self.sim.nt_load(ver_addr);
-        let value = self.sim.nt_load(addr);
-        let ver_after = self.sim.nt_load(ver_addr);
-
-        let consistent = !stamp::is_locked(ver_before)
-            && ver_before == ver_after
-            && stamp::decode_ts(ver_before) <= self.tx_version;
-        if !consistent {
-            let (cause, observed) = if stamp::is_locked(ver_before) {
-                (AbortCause::Locked, self.tx_version + 1)
-            } else {
-                (AbortCause::Validation, stamp::decode_ts(ver_before))
-            };
-            return Err(self.slow_abort(cause, observed));
-        }
+        // The simulator's publication-aware bracket makes a hardware commit
+        // in flight appear atomic, as it would on real hardware.
+        let value = match self.sim.stripe_read(ver_addr, addr, self.tx_version) {
+            Ok(value) => value,
+            Err((cause, observed)) => return Err(self.slow_abort(cause, observed)),
+        };
         // Record the stripe once per attempt: commit-time revalidation is
         // idempotent, so duplicates only inflate the validation loop (and,
         // for RH1, the commit-time hardware transaction's read footprint
@@ -238,8 +226,8 @@ impl RhThread {
         let new_word = stamp::encode_ts(next_ver);
 
         // Write-back: install the new stripe version, then the value, for
-        // every deferred write (program order is preserved by the write
-        // buffer and by commit publication).
+        // every deferred write (commit publication stores every version
+        // before any value, whatever the order here).
         for (addr, value) in self.write_set.iter() {
             let stripe = layout.stripe_of(addr);
             self.htm

@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rhtm_api::typed::{Codec, TxCell};
-use rhtm_mem::{Addr, CachePadded, TmMemory, CACHE_LINE_WORDS};
+use rhtm_api::AbortCause;
+use rhtm_mem::{stamp, Addr, CachePadded, TmMemory, CACHE_LINE_WORDS};
 
 use crate::config::HtmConfig;
 
@@ -160,12 +161,24 @@ impl HtmSim {
     /// its writes visible at a single instant — so waiting it out is what
     /// keeps the simulation's non-transactional readers from observing a
     /// state no real execution could produce (see `docs/ARCHITECTURE.md`,
-    /// "publish-order note").
+    /// "Publication order").  The software read paths do not use this for
+    /// their stripe versions: [`HtmSim::stripe_read`] waits on the data
+    /// line only.
     #[inline(always)]
     pub fn nt_load(&self, addr: Addr) -> u64 {
-        let line = addr.line();
+        let line = &self.lines[addr.line()];
+        if Self::line_is_locked(line.load(Ordering::SeqCst)) {
+            Self::wait_unlocked(line);
+        }
+        self.mem.heap().load(addr)
+    }
+
+    /// Spins (then yields) until `line` is unlocked.
+    #[cold]
+    #[inline(never)]
+    fn wait_unlocked(line: &AtomicU64) {
         let mut spins = 0u32;
-        while Self::line_is_locked(self.lines[line].load(Ordering::SeqCst)) {
+        while Self::line_is_locked(line.load(Ordering::SeqCst)) {
             spins += 1;
             if spins < 128 {
                 std::hint::spin_loop();
@@ -173,7 +186,65 @@ impl HtmSim {
                 std::thread::yield_now();
             }
         }
-        self.mem.heap().load(addr)
+    }
+
+    /// The software stripe read shared by TL2 and the RH slow paths: loads
+    /// the stripe version at `ver_addr`, the word at `addr` and the version
+    /// again, and accepts the word only if both versions are equal,
+    /// unlocked and no newer than `tx_version`.
+    ///
+    /// Only the data load waits for an in-flight publication of its line;
+    /// the version loads are plain.  That is sound because every writer
+    /// makes the stripe version (or its lock word) visible before the data:
+    /// a software writer changes data only while it holds the stripe lock,
+    /// and a hardware commit stores its metadata words before its data
+    /// words (see [`crate::HtmThread::commit`]).  So a data load that
+    /// returns a newly published word is followed, in the `SeqCst` order,
+    /// by a second version load that sees the lock or the new version, and
+    /// the bracket rejects the read.  The data load's wait covers the other
+    /// direction: a first version load that sees a hardware commit's new
+    /// version came after that commit locked the data line.
+    ///
+    /// On rejection returns the abort cause and the version observed, as
+    /// the read paths pass it to the clock's abort-time advance: `Locked`
+    /// with `tx_version + 1` for a locked stripe, `Validation` with the
+    /// first version read otherwise.
+    #[inline(always)]
+    pub fn stripe_read(
+        &self,
+        ver_addr: Addr,
+        addr: Addr,
+        tx_version: u64,
+    ) -> Result<u64, (AbortCause, u64)> {
+        // Resolve every cell before the first atomic, so nothing is
+        // re-resolved between the ordered loads.
+        let heap = self.mem.heap();
+        let ver = heap.cell(ver_addr);
+        let data = heap.cell(addr);
+        let line = &self.lines[addr.line()];
+        let ver_before = ver.load(Ordering::SeqCst);
+        if Self::line_is_locked(line.load(Ordering::SeqCst)) {
+            Self::wait_unlocked(line);
+        }
+        let value = data.load(Ordering::SeqCst);
+        let ver_after = ver.load(Ordering::SeqCst);
+        if ver_before == ver_after
+            && !stamp::is_locked(ver_before)
+            && stamp::decode_ts(ver_before) <= tx_version
+        {
+            Ok(value)
+        } else {
+            Err(Self::stripe_read_rejection(ver_before, tx_version))
+        }
+    }
+
+    #[cold]
+    fn stripe_read_rejection(ver_before: u64, tx_version: u64) -> (AbortCause, u64) {
+        if stamp::is_locked(ver_before) {
+            (AbortCause::Locked, tx_version + 1)
+        } else {
+            (AbortCause::Validation, stamp::decode_ts(ver_before))
+        }
     }
 
     /// Typed variant of [`HtmSim::nt_load`]: strongly-isolated read of a
@@ -378,6 +449,75 @@ mod tests {
         assert!(s.try_lock_line(line, v2));
         s.unlock_line_unchanged(line, v2);
         assert_eq!(s.line_version(line), v2);
+    }
+
+    /// A data word and its stripe version word.
+    fn stripe_word(s: &HtmSim) -> (Addr, Addr) {
+        let addr = s.mem().alloc(1);
+        let layout = s.mem().layout();
+        (layout.stripe_version_addr(layout.stripe_of(addr)), addr)
+    }
+
+    #[test]
+    fn stripe_read_of_a_locked_stripe_aborts_locked() {
+        let s = sim();
+        let (ver, addr) = stripe_word(&s);
+        s.nt_store(ver, stamp::lock_word(3));
+        assert_eq!(s.stripe_read(ver, addr, 10), Err((AbortCause::Locked, 11)));
+    }
+
+    #[test]
+    fn stripe_read_of_a_newer_stripe_aborts_with_its_version() {
+        let s = sim();
+        let (ver, addr) = stripe_word(&s);
+        s.nt_store(ver, stamp::encode_ts(12));
+        assert_eq!(
+            s.stripe_read(ver, addr, 11),
+            Err((AbortCause::Validation, 12))
+        );
+    }
+
+    #[test]
+    fn stripe_read_returns_the_word_under_an_old_enough_version() {
+        let s = sim();
+        let (ver, addr) = stripe_word(&s);
+        s.nt_store(addr, 42);
+        s.nt_store(ver, stamp::encode_ts(11));
+        assert_eq!(s.stripe_read(ver, addr, 11), Ok(42));
+        assert_eq!(s.stripe_read(ver, addr, 20), Ok(42));
+    }
+
+    #[test]
+    fn stripe_read_waits_for_the_data_line_to_be_published() {
+        let s = sim();
+        let (ver, addr) = stripe_word(&s);
+        // Another agent holds the data line mid-publish.
+        let line = addr.line();
+        let v = s.line_version(line);
+        assert!(s.try_lock_line(line, v));
+        s.mem().heap().store(addr, 7);
+        let returned = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let reader = {
+            let (s, returned, started) =
+                (Arc::clone(&s), Arc::clone(&returned), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                let result = s.stripe_read(ver, addr, 0);
+                returned.store(true, Ordering::SeqCst);
+                result
+            })
+        };
+        // A reader that does not wait returns within microseconds of the
+        // barrier; one that waits is still blocked after the grace period.
+        started.wait();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "the data load must wait while its line is locked"
+        );
+        s.unlock_line(line, v);
+        assert_eq!(reader.join().unwrap(), Ok(7));
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //! 3. Writing transactions lock the cache lines they wrote (ascending line
 //!    order, try-lock: a busy line is a conflict), validate that every line
 //!    in the read-set still carries the version observed at first read,
-//!    publish the buffered values **in program order** and release the
-//!    locks with bumped versions.
+//!    publish the buffered values **metadata first** and release the locks
+//!    with bumped versions.
 //!
-//! Publication in program order matters for the hybrid protocols: the RH1
-//! fast-path writes a location's *stripe version before its data*, and the
-//! RH1/RH2 software slow-paths read a location's stripe version before and
-//! after the data load.  Program-order publication therefore guarantees
-//! that a slow-path reader that observes a new data value also observes the
-//! new stripe version in its post-read check — the same all-or-nothing
-//! property an atomic hardware commit provides (see `docs/ARCHITECTURE.md`).
+//! Metadata-first publication matters for the hybrid protocols: the
+//! software read paths ([`HtmSim::stripe_read`]) load a location's stripe
+//! version before and after the data load, and wait only on the data's
+//! line lock.  Publishing every word below the layout's data base (stripe
+//! versions and lock words) before any data word guarantees that a
+//! software reader that observes a new data value also observes the new
+//! stripe version, or the lock, in its post-read check — the same
+//! all-or-nothing property an atomic hardware commit provides, whatever
+//! order the transaction wrote in (the RH2 fast-path writes its data before
+//! its stripe locks).  Each pass keeps program order (see
+//! `docs/ARCHITECTURE.md`, "Publication order").
 
 use std::sync::Arc;
 
@@ -398,10 +402,21 @@ impl HtmThread {
             return Err(self.fail(AbortCause::Conflict));
         }
 
-        // Publish buffered values in program order, then release the locks
-        // with bumped versions and advance the global write sequence.
+        // Publish the metadata words (stripe versions and locks, the clock,
+        // the mode counters) before the data words, each pass in program
+        // order, then release the locks with bumped versions and advance
+        // the global write sequence.
+        let heap = self.sim.mem().heap();
+        let data_base = self.sim.mem().layout().data_base();
         for (addr, value) in self.write_set.iter() {
-            self.sim.mem().heap().store(addr, value);
+            if addr < data_base {
+                heap.store(addr, value);
+            }
+        }
+        for (addr, value) in self.write_set.iter() {
+            if addr >= data_base {
+                heap.store(addr, value);
+            }
         }
         for &(line, prev) in &self.locked {
             self.sim.unlock_line(line, prev);
@@ -434,7 +449,7 @@ impl std::fmt::Debug for HtmThread {
 mod tests {
     use super::*;
     use crate::config::HtmConfig;
-    use rhtm_mem::{MemConfig, TmMemory};
+    use rhtm_mem::{stamp, MemConfig, TmMemory};
     use std::sync::atomic::Ordering;
 
     fn setup(config: HtmConfig) -> (Arc<HtmSim>, Addr) {
@@ -675,6 +690,87 @@ mod tests {
         }
         stop.store(true, Ordering::SeqCst);
         assert_eq!(reader.join().unwrap(), 0);
+    }
+
+    #[test]
+    fn stripe_reads_see_each_hardware_commit_whole() {
+        // A writer publishes one watched data word, whose value is the
+        // stripe version it is published under, plus a run of 64 other
+        // data words, in one of the two fast-path shapes:
+        // - RH2: the watched word, the others, then the stripe lock; the
+        //   stripe is released with the new version after the commit;
+        // - RH1: the new stripe version, the others, then the watched word.
+        // The reader checks two things:
+        // - a raw probe (data, then version, waiting on neither line) never
+        //   sees data newer than an unlocked version: the metadata-first
+        //   order the bracketed read relies on;
+        // - a bracketed read accepted under version `k` returns `k`.
+        // Program-order publication breaks both in the RH2 shape; a
+        // bracket that does not wait on the data line breaks the second in
+        // the RH1 shape.
+        for rh2_shape in [true, false] {
+            let (sim, _) = setup(HtmConfig::default());
+            let data = sim.mem().alloc(1 + 64);
+            let layout = sim.mem().layout();
+            let ver = layout.stripe_version_addr(layout.stripe_of(data));
+            let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let writer = {
+                let sim = Arc::clone(&sim);
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    let mut t = HtmThread::new(Arc::clone(&sim), 1);
+                    let others = |t: &mut HtmThread, i| {
+                        (1..=64).try_for_each(|k| t.write(data.offset(k), i))
+                    };
+                    for i in 1..=100_000u64 {
+                        loop {
+                            t.begin();
+                            let attempt = if rh2_shape {
+                                t.write(data, i)
+                                    .and_then(|()| others(&mut t, i))
+                                    .and_then(|()| t.write(ver, stamp::lock_word(1)))
+                            } else {
+                                t.write(ver, stamp::encode_ts(i))
+                                    .and_then(|()| others(&mut t, i))
+                                    .and_then(|()| t.write(data, i))
+                            };
+                            if attempt.and_then(|()| t.commit()).is_ok() {
+                                break;
+                            }
+                        }
+                        if rh2_shape {
+                            sim.nt_store(ver, stamp::encode_ts(i));
+                        }
+                    }
+                    done.store(true, Ordering::SeqCst);
+                })
+            };
+            let heap = sim.mem().heap();
+            let (mut accepted, mut mismatched, mut data_first) = (0u64, 0u64, 0u64);
+            while !done.load(Ordering::SeqCst) {
+                let d = heap.load(data);
+                let v = heap.load(ver);
+                data_first += u64::from(!stamp::is_locked(v) && stamp::decode_ts(v) < d);
+                // Stripe versions only grow, so a read accepted with the
+                // version loaded here as `tx_version` ran under that version.
+                let v0 = heap.load(ver);
+                if stamp::is_locked(v0) {
+                    continue;
+                }
+                if let Ok(value) = sim.stripe_read(ver, data, stamp::decode_ts(v0)) {
+                    accepted += 1;
+                    mismatched += u64::from(value != stamp::decode_ts(v0));
+                }
+            }
+            writer.join().unwrap();
+            let shape = if rh2_shape { "RH2" } else { "RH1" };
+            assert!(accepted > 0, "{shape}: the reader never completed a read");
+            assert_eq!(
+                data_first, 0,
+                "{shape}: data visible before its stripe version"
+            );
+            assert_eq!(mismatched, 0, "{shape}: of {accepted} accepted reads");
+        }
     }
 
     /// A line-aligned block, so `base` and `base.offset(1..8)` share a line

@@ -33,7 +33,8 @@
 //! entirely: it is stored as one flat, eagerly-zeroed array, so the word
 //! path keeps the original single-bounds-check load.  The segment
 //! indirection (an `OnceLock` acquire plus a second bounds check, on a
-//! path that performs three heap loads per transactional read) was
+//! software read path that performs three heap loads per transactional
+//! read: stripe version, data, stripe version) was
 //! measured at 30-45% on the pointer-chasing read workloads (rbtree,
 //! sorted list) under TL2; the flat fast path confines that cost to heaps
 //! big enough that lazy materialisation genuinely pays for it.
@@ -44,8 +45,9 @@
 //! 64-byte-aligned line groups.  Storing it as `[repr(align(64))]` lines
 //! was measured and rejected: the extra index level (plus the word-granular
 //! bound check the rounded-up line array then needs) costs several percent
-//! on the software read path, which performs three heap loads per
-//! transactional read, while the alignment only tightens false-sharing at
+//! on the software read path, which performs three heap loads (and one
+//! line-table load, see `HtmSim::stripe_read`) per transactional read,
+//! while the alignment only tightens false-sharing at
 //! line *boundaries* that the region map already keeps metadata away from.
 //! Hot words that need real isolation are padded individually with
 //! [`crate::CachePadded`] instead.
@@ -170,8 +172,12 @@ impl TxHeap {
         }
     }
 
+    /// The atomic cell holding the word at `addr`.  A caller that makes
+    /// several ordered loads of the same words (the simulator's bracketed
+    /// stripe read) resolves their cells once, up front, instead of
+    /// re-resolving the heap's representation after every atomic access.
     #[inline(always)]
-    fn cell(&self, addr: Addr) -> &AtomicU64 {
+    pub fn cell(&self, addr: Addr) -> &AtomicU64 {
         // All indexings panic on out-of-range addresses: the empty-table
         // segment lookup for a flat heap's out-of-range address, the
         // segment lookup for addresses past the last segment, the word

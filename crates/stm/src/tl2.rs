@@ -143,39 +143,31 @@ impl Tl2Engine {
 
     /// Transactional read of `addr` (Algorithm: TL2 read with pre/post
     /// version check against `tx_version`).
+    ///
+    /// Only the common path is inlined: a word this attempt has not
+    /// written, a consistent bracket and the stripe record.  The write-set
+    /// probe (once the attempt has written) and the abort are outlined, as
+    /// are the growth paths of the read set (`Vec`'s) and of the stripe
+    /// marks (`StripeMarks::grow_to`).
     #[inline]
     pub fn read(&mut self, addr: Addr) -> TxResult<u64> {
         debug_assert!(self.active, "read outside a TL2 transaction");
-        if let Some(v) = self.write_set.get(addr) {
-            return Ok(v);
+        if !self.write_set.is_empty() {
+            if let Some(v) = self.read_own_write(addr) {
+                return Ok(v);
+            }
         }
         let (stripe, ver_addr) = {
             let layout = self.sim.mem().layout();
             let stripe = layout.stripe_of(addr);
             (stripe, layout.stripe_version_addr(stripe))
         };
-        // Publication-aware loads: when this engine is embedded in a hybrid
-        // runtime, an in-flight hardware commit appears atomic to them.
-        let ver_before = self.sim.nt_load(ver_addr);
-        let value = self.sim.nt_load(addr);
-        let ver_after = self.sim.nt_load(ver_addr);
-
-        if stamp::is_locked(ver_before)
-            || ver_before != ver_after
-            || stamp::decode_ts(ver_before) > self.tx_version
-        {
-            let observed = if stamp::is_locked(ver_before) {
-                self.tx_version + 1
-            } else {
-                stamp::decode_ts(ver_before)
-            };
-            let cause = if stamp::is_locked(ver_before) {
-                AbortCause::Locked
-            } else {
-                AbortCause::Validation
-            };
-            return Err(self.abort(cause, observed));
-        }
+        // Publication-aware bracket: when this engine is embedded in a
+        // hybrid runtime, an in-flight hardware commit appears atomic to it.
+        let value = match self.sim.stripe_read(ver_addr, addr, self.tx_version) {
+            Ok(value) => value,
+            Err((cause, observed)) => return Err(self.abort(cause, observed)),
+        };
         // Record the stripe once per attempt: repeat reads contribute
         // nothing to validation, and the filter's O(1) epoch reset keeps
         // this cheaper than scanning or re-validating duplicates.  The
@@ -189,6 +181,12 @@ impl Tl2Engine {
             }
         }
         Ok(value)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn read_own_write(&self, addr: Addr) -> Option<u64> {
+        self.write_set.get(addr)
     }
 
     /// Transactional (deferred) write of `value` to `addr`.
@@ -208,7 +206,6 @@ impl Tl2Engine {
             self.active = false;
             self.read_set.clear();
             self.read_marks.clear();
-            self.last_read_stripe = u64::MAX;
             self.last_read_stripe = u64::MAX;
             return Ok(());
         }
