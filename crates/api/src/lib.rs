@@ -33,6 +33,10 @@
 //! * [`dynamic`] — object-safe, dyn-erased mirrors ([`DynRuntime`],
 //!   [`DynThread`]) so tests and examples can hold *any* runtime as a
 //!   `Box<dyn DynRuntime>` value instead of writing visitor structs.
+//! * [`retry`] — contention management: one [`ComposedPolicy`] (give-up
+//!   rule, pacing, optional circuit breaker, optional shared retry budget)
+//!   behind the eight built-in labels, decided through the per-thread
+//!   [`RetryThread`] every runtime thread owns.
 //! * [`session`] — scoped worker sessions ([`TmScopeExt::scope`],
 //!   [`run_scoped`]): structured multi-threaded execution over any
 //!   runtime, replacing hand-rolled spawn/register/barrier/join loops.
@@ -66,7 +70,6 @@ pub mod dynamic;
 pub mod latency;
 pub mod reclaim;
 pub mod retry;
-pub mod retry2;
 pub mod session;
 pub mod stats;
 pub mod test_runtime;
@@ -79,10 +82,8 @@ pub use dynamic::{DynRuntime, DynThread, DynThreadExt, DynTxn};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use reclaim::{EpochGuard, NodePool};
 pub use retry::{
-    AttemptContext, PathClass, RetryDecision, RetryPolicy, RetryPolicyHandle, RetryRng,
-};
-pub use retry2::{
-    Budgeted, CircuitBreaker, CircuitBreakerConfig, FibonacciBackoff, FullJitter, RetryBudget,
+    AttemptContext, CircuitBreakerConfig, ComposedPolicy, GiveUp, Pacing, PathClass, RetryBudget,
+    RetryDecision, RetryPolicy, RetryPolicyHandle, RetryRng, RetryState, RetryThread, SpinWindow,
 };
 pub use session::{run_scoped, DynScopeExt, ScopeControl, TmScopeExt, WorkerSession};
 pub use stats::{PathKind, PathProbe, RetryMetrics, Stopwatch, TxStats};

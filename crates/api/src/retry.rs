@@ -1,5 +1,5 @@
-//! Pluggable retry policies: *when* a transaction gives up on its current
-//! execution path.
+//! Retry policies: *when* a transaction gives up on its current execution
+//! path.
 //!
 //! Every runtime in the workspace has a retry loop, and before this module
 //! each of them hard-coded its own give-up decision: the RH1 commit-time
@@ -7,11 +7,10 @@
 //! `commit_htm_retries`, the RH2 write-back counted against
 //! `writeback_htm_retries` (with a different comparison idiom), the Standard
 //! HyTM counted hardware failures against `hw_retries`, and TL2 / pure HTM
-//! retried forever.  This module makes that decision a first-class,
-//! swappable, benchmarkable strategy — the same treatment the
-//! `rhtm_mem::ClockScheme` axis gives the global clock — so contention
-//! management can be measured as an axis (`ablation_retry`) instead of being
-//! re-derived per runtime.
+//! retried forever.  This module makes that decision one swappable,
+//! benchmarkable strategy — the same treatment the `rhtm_mem::ClockScheme`
+//! axis gives the global clock — so contention management can be measured
+//! as an axis (`ablation_retry`) instead of being re-derived per runtime.
 //!
 //! The division of labour is deliberate:
 //!
@@ -31,9 +30,29 @@
 //! demotes.  A policy therefore cannot strand a transaction on a path that
 //! can never run it, and cannot affect serialisability at all — but the
 //! clamp does **not** bound contention pacing: a policy that always answers
-//! [`RetryDecision::RetryHere`] (see [`Aggressive`]) keeps a contended
+//! [`RetryDecision::RetryHere`] (see [`GiveUp::Never`]) keeps a contended
 //! attempt spinning with no give-up bound, a throughput hazard rather than
 //! a correctness one.
+//!
+//! # One composed policy
+//!
+//! Every built-in policy is a [`ComposedPolicy`] of four independent parts:
+//!
+//! * a [`GiveUp`] rule — the paper's thresholds (budget, then the "Mix"
+//!   percentage), never for contention, or adaptive patience;
+//! * a [`Pacing`] — the runtime's default snooze, or a jittered spin window
+//!   that doubles, doubles with full jitter, or grows along Fibonacci;
+//! * an optional circuit breaker ([`CircuitBreakerConfig`]) over the
+//!   demotable hardware fast path;
+//! * an optional shared token bucket ([`RetryBudget`]) that every granted
+//!   retry must pay for.
+//!
+//! The eight built-in labels are aliases for fixed compositions
+//! ([`ComposedPolicy::alias`]).  All per-thread state — the [`RetryRng`]
+//! and the breaker's circuit — lives in a [`RetryThread`] owned by the
+//! runtime thread, so two runtimes sharing one policy (the shards of a KV
+//! service, say) never share a circuit.  The token bucket is the one
+//! deliberately shared part.
 //!
 //! # Retry-budget semantics
 //!
@@ -41,13 +60,14 @@
 //! `commit_htm_retries` / `writeback_htm_retries` / `hw_retries` in the
 //! runtime configs) it means **the maximum number of *extra* attempts on the
 //! current path after the first failure**: a budget of `N` allows `N + 1`
-//! total attempts before [`PaperDefault`] demotes.  The pre-refactor loops
+//! total attempts before [`GiveUp::Paper`] demotes.  The pre-refactor loops
 //! expressed this with two different idioms (`count > budget` after the
 //! increment vs `count >= budget` before it) that happened to coincide;
 //! this module makes the semantics explicit and `tests/retry_policies.rs`
 //! asserts it.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::abort::AbortCause;
@@ -176,30 +196,13 @@ pub fn spin(n: u32) {
 
 /// The xorshift64 generator the policies draw from.
 ///
-/// Policies are stateless shared objects; all randomness (the RH "Mix"
-/// draw, backoff jitter) comes from a per-thread instance of this generator
-/// owned by the runtime thread, so runs stay reproducible per seed and
-/// threads never share RNG state.  The update is the same xorshift the RH
-/// runtime has always used for its slow-path-admission draw, which keeps
-/// fixed-seed runs bit-identical across the refactor.
-///
-/// # Seeding contract
-///
-/// Each runtime thread owns exactly **one** `RetryRng`, seeded from the run
-/// seed and the thread id at registration; every policy attached to that
-/// thread draws from it.  Two rules keep those draws independent:
-///
-/// * a policy must never cache raw `next_u64` values across decisions —
-///   cross-attempt memory belongs in [`AttemptContext::attempt`];
-/// * a policy *instance* that turns draws into pacing (backoff jitter) must
-///   not consume the shared stream directly, because a second instance on
-///   the same thread would then read the **same** values one position
-///   apart and pace its retries in near-lockstep with the first (correlated
-///   jitter was a latent bug in the pre-Retry-2.0 jitter policies).
-///   Instead it calls [`RetryRng::fork`] with a per-instance salt: the
-///   parent stream advances exactly once (identically for every instance,
-///   preserving fixed-seed reproducibility of all *shared* draws like the
-///   RH "Mix" admission), while the forked value is decorrelated per salt.
+/// All randomness of a retry decision (the RH "Mix" draw, backoff jitter)
+/// comes from the [`RetryState`] of the deciding thread, so runs stay
+/// reproducible per seed and threads never share RNG state.  Each draw
+/// advances the stream exactly once, whatever the policy.  The update is
+/// the same xorshift the RH runtime has always used for its
+/// slow-path-admission draw, which keeps fixed-seed runs bit-identical
+/// across refactors.
 #[derive(Clone, Debug)]
 pub struct RetryRng {
     state: u64,
@@ -239,74 +242,43 @@ impl RetryRng {
             self.next_u64() % n
         }
     }
-
-    /// Forks a decorrelated child generator for a policy instance (see the
-    /// type-level *seeding contract*).
-    ///
-    /// Advances the parent stream exactly once — the advancement is
-    /// salt-independent, so every instance sharing the thread moves the
-    /// shared stream identically — then finalises `parent-draw ⊕ salt`
-    /// through SplitMix64, whose avalanche guarantees that nearby salts
-    /// (consecutive instance ids) produce unrelated child streams.
-    #[inline]
-    pub fn fork(&mut self, salt: u64) -> RetryRng {
-        let mut z = self
-            .next_u64()
-            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        RetryRng::new(z ^ (z >> 31))
-    }
 }
 
 /// A contention-management strategy: decides what an aborted attempt does
-/// next, given the [`AttemptContext`].
+/// next, given the [`AttemptContext`] and the deciding thread's
+/// [`RetryState`].
 ///
-/// Implementations must be cheap (the decision runs on every abort) and
-/// stateless across calls — any randomness comes from the caller's
-/// per-thread [`RetryRng`], any cross-attempt memory from
-/// [`AttemptContext::attempt`] and the fallback-counter snapshots.
+/// [`ComposedPolicy`] is the one implementation the workspace ships; the
+/// trait is the seam for test doubles and experiments.  Implementations
+/// must be cheap (the decision runs on every abort) and keep no per-thread
+/// state of their own — randomness and cross-attempt memory belong in the
+/// [`RetryState`] and in [`AttemptContext::attempt`].
 pub trait RetryPolicy: fmt::Debug + Send + Sync {
     /// Stable short name (used by reports, the `ablation_retry` CLI and
     /// [`RetryPolicyHandle::parse`]).
     fn label(&self) -> &'static str;
 
-    /// The decision for one aborted attempt.  Runtimes pass the returned
-    /// value through [`AttemptContext::clamp`] before acting on it.
-    fn decide(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision;
-
-    /// The decision for one aborted attempt, with access to the thread's
-    /// [`RetryMetrics`] so stateful policies (the Retry 2.0 circuit breaker
-    /// and budget in [`crate::retry2`]) can record state transitions.
-    ///
-    /// Runtimes call this (through
-    /// [`RetryPolicyHandle::decide_clamped_observed`]) rather than
-    /// [`RetryPolicy::decide`]; the default implementation ignores the
-    /// metrics and delegates, so plain policies only implement `decide`.
-    fn decide_observed(
+    /// The decision for one aborted attempt.  Stateful parts record their
+    /// transitions into `metrics`; [`RetryThread::decide`] clamps the result
+    /// and counts it.
+    fn decide(
         &self,
         ctx: &AttemptContext,
-        rng: &mut RetryRng,
+        state: &mut RetryState,
         metrics: &mut RetryMetrics,
-    ) -> RetryDecision {
-        let _ = metrics;
-        self.decide(ctx, rng)
-    }
+    ) -> RetryDecision;
 
     /// Notifies the policy of a committed transaction on this thread
     /// (`hardware` is true for all-hardware fast-path commits).
     ///
     /// Only called when [`RetryPolicy::wants_commit_hook`] returns true —
-    /// runtimes cache that answer at thread registration so the common
-    /// stateless policies pay nothing on the commit fast path.  The Retry
-    /// 2.0 policies use this to refill the token bucket and to track the
-    /// circuit breaker's half-open close streak.
-    fn on_commit(&self, hardware: bool, metrics: &mut RetryMetrics) {
-        let _ = (hardware, metrics);
+    /// [`RetryThread`] caches that answer, so policies without a breaker or
+    /// a budget pay nothing on the commit fast path.
+    fn on_commit(&self, hardware: bool, state: &mut RetryState, metrics: &mut RetryMetrics) {
+        let _ = (hardware, state, metrics);
     }
 
     /// Whether this policy needs [`RetryPolicy::on_commit`] notifications.
-    /// Defaults to `false`; see the hook's docs for the caching contract.
     fn wants_commit_hook(&self) -> bool {
         false
     }
@@ -317,175 +289,564 @@ pub trait RetryPolicy: fmt::Debug + Send + Sync {
     ///
     /// Loading those counters costs two shared-cache-line reads per abort,
     /// right inside the retry loops the benchmarks measure; runtimes check
-    /// this (once, at thread registration) and pass zeros when the policy
-    /// does not care.  Defaults to `false`; override when implementing a
-    /// policy like [`Adaptive`] that consults the cascade state.
+    /// the cached answer and pass zeros when the policy does not care.
     fn wants_fallback_snapshot(&self) -> bool {
         false
     }
-
-    /// Identity string used for handle equality: label plus parameters.
-    fn fingerprint(&self) -> String {
-        format!("{}:{:?}", self.label(), self)
-    }
 }
 
-/// The seed thresholds, verbatim: reproduces the pre-refactor loops of all
-/// four runtimes decision-for-decision, so figure outputs are unchanged.
-///
-/// * Hardware limitations demote immediately (when a slower tier exists).
-/// * While `attempt <= retry_budget`, retry on the same path.
-/// * Once the budget is spent, the mix percentage decides: 0 never demotes,
-///   100 always demotes, anything between draws the per-thread RNG — the RH
-///   fast-path's "Mix" parameter, with the same draw sites as the seed
-///   implementation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PaperDefault;
+/// When a contended attempt gives up on its current path.  Hardware
+/// limitations demote and dead ends retry under every rule (the
+/// [`AttemptContext::clamp`] rules).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GiveUp {
+    /// The paper's thresholds, reproducing the seed loops of all four
+    /// runtimes decision for decision: retry while
+    /// `attempt <= retry_budget`, then let the mix percentage decide — 0
+    /// never demotes, 100 always does, anything between draws the thread's
+    /// RNG (the RH fast path's "Mix" parameter).
+    Paper,
+    /// Never for contention — the `hw_retries: u32::MAX` style of the
+    /// paper's "Standard HyTM" measurement variant, applied everywhere.
+    Never,
+    /// Demote once `attempt > patience`, or on the first failure while the
+    /// fallback counters show an RH2 or all-software commit in flight
+    /// (hardware attempts are then likely to keep aborting against it).
+    /// Ignores the site's budget and mix.
+    Adaptive {
+        /// Extra same-path attempts tolerated while the cascade is healthy.
+        patience: u32,
+    },
+}
 
-impl RetryPolicy for PaperDefault {
-    fn label(&self) -> &'static str {
-        "paper-default"
-    }
-
-    fn decide(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision {
-        if ctx.cause.is_hardware_limitation() {
-            return if ctx.can_demote {
-                RetryDecision::Demote
-            } else {
-                RetryDecision::RetryHere
-            };
+impl GiveUp {
+    /// Whether the attempt gives up on its path.
+    #[inline]
+    fn gives_up(self, ctx: &AttemptContext, rng: &mut RetryRng) -> bool {
+        if ctx.cause.is_hardware_limitation() || !ctx.can_demote {
+            return ctx.can_demote;
         }
-        if !ctx.can_demote || ctx.attempt <= ctx.retry_budget {
-            return RetryDecision::RetryHere;
-        }
-        match ctx.mix_percent {
-            0 => RetryDecision::RetryHere,
-            100 => RetryDecision::Demote,
-            p => {
-                if rng.next_u64() % 100 < p as u64 {
-                    RetryDecision::Demote
-                } else {
-                    RetryDecision::RetryHere
-                }
+        match self {
+            GiveUp::Paper => {
+                ctx.attempt > ctx.retry_budget
+                    && match ctx.mix_percent {
+                        0 => false,
+                        100 => true,
+                        p => rng.next_u64() % 100 < u64::from(p),
+                    }
+            }
+            GiveUp::Never => false,
+            GiveUp::Adaptive { patience } => {
+                ctx.attempt > if ctx.cascade_degraded() { 0 } else { patience }
             }
         }
     }
 }
 
-/// [`PaperDefault`]'s demotion rules with randomised exponential backoff:
-/// each retry waits in a jittered window that doubles per attempt up to a
-/// cap, so threads that aborted together do not retry in lockstep and
-/// re-collide ("retry storms").
+/// A backoff spin window: the window of the first retry and its cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CappedExponential {
+pub struct SpinWindow {
     /// Spin window of the first retry.
     pub base_spins: u32,
     /// Upper bound on the spin window.
     pub max_spins: u32,
 }
 
-impl Default for CappedExponential {
+impl SpinWindow {
+    /// The window every built-in backoff uses: 32 spins, capped at 16 384.
+    pub const DEFAULT: SpinWindow = SpinWindow {
+        base_spins: 32,
+        max_spins: 16_384,
+    };
+
+    /// `base_spins · factor`, clamped to `1..=max_spins`.
+    fn scaled(self, factor: u32) -> u32 {
+        self.base_spins
+            .saturating_mul(factor)
+            .clamp(1, self.max_spins)
+    }
+}
+
+/// How a retry that the give-up rule grants is paced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pacing {
+    /// [`RetryDecision::RetryHere`]: the runtime's default snooze.
+    None,
+    /// The window doubles per attempt up to the cap; spins are uniform over
+    /// `[window/2, window]` — enough spread to break lockstep, bounded so
+    /// the backoff still escalates.
+    Doubling(SpinWindow),
+    /// The window doubles per attempt up to the cap; spins are uniform over
+    /// `[0, window]` (the AWS "full jitter" shape — maximum spread at the
+    /// cost of occasional zero waits).
+    FullJitter(SpinWindow),
+    /// The window grows along the Fibonacci sequence (`base·fib(attempt)`,
+    /// capped) — gentler early escalation than doubling — with spins
+    /// uniform over `[window/2, window]`.
+    Fibonacci(SpinWindow),
+}
+
+impl Pacing {
+    /// The paced form of a granted retry; every backoff draws the thread's
+    /// RNG exactly once.
+    #[inline]
+    fn pace(self, attempt: u32, rng: &mut RetryRng) -> RetryDecision {
+        let doubled = 1u32 << attempt.saturating_sub(1).min(16);
+        let (window, full_jitter) = match self {
+            Pacing::None => return RetryDecision::RetryHere,
+            Pacing::Doubling(w) => (w.scaled(doubled), false),
+            Pacing::FullJitter(w) => (w.scaled(doubled), true),
+            Pacing::Fibonacci(w) => (w.scaled(fib(attempt)), false),
+        };
+        let (floor, span) = if full_jitter {
+            (0, window)
+        } else {
+            (window / 2, window / 2)
+        };
+        RetryDecision::BackoffThen(floor + rng.next_below(u64::from(span) + 1) as u32)
+    }
+}
+
+/// `fib(n)` saturating in `u32` (`fib(0) == fib(1) == fib(2) == 1`).
+fn fib(n: u32) -> u32 {
+    let (mut a, mut b) = (1u32, 1u32);
+    for _ in 2..n.min(64) {
+        let next = a.saturating_add(b);
+        a = b;
+        b = next;
+    }
+    b
+}
+
+/// Tuning knobs of the circuit breaker.
+///
+/// The breaker watches consecutive failures of the demotable hardware fast
+/// path ([`PathClass::Hardware`] with `can_demote`); every other decision
+/// site passes it by.
+///
+/// ```text
+/// Closed   --(open_threshold consecutive hw failures)--> Open
+/// Open     --(probe_interval demotions elapsed)--------> HalfOpen
+/// HalfOpen --(decision while probing fails)----------> Open
+/// HalfOpen --(close_streak hardware commits)---------> Closed
+/// ```
+///
+/// While `Open`, hardware-path decisions answer `Demote` without consulting
+/// the give-up rule.  A hardware commit resets the `Closed` failure count
+/// and feeds the `HalfOpen` close streak; software commits do not (only
+/// hardware success proves the hardware path healthy).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CircuitBreakerConfig {
+    /// Consecutive hardware-path failures (capacity, conflict, any abort
+    /// decided on [`PathClass::Hardware`]) that open the circuit.
+    /// `u32::MAX` never opens — the breaker then changes no decision.
+    pub open_threshold: u32,
+    /// Hardware-path decisions spent demoting while open before a
+    /// half-open probe is admitted.
+    pub probe_interval: u32,
+    /// Consecutive hardware commits in the half-open state that close the
+    /// circuit.
+    pub close_streak: u32,
+}
+
+impl Default for CircuitBreakerConfig {
     fn default() -> Self {
-        CappedExponential {
-            base_spins: 32,
-            max_spins: 16_384,
+        CircuitBreakerConfig {
+            open_threshold: 4,
+            probe_interval: 8,
+            close_streak: 2,
         }
     }
 }
 
-impl RetryPolicy for CappedExponential {
-    fn label(&self) -> &'static str {
-        "capped-exp"
+/// A thread's circuit (see [`CircuitBreakerConfig`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Circuit {
+    /// Hardware admission is normal; counts consecutive failures.
+    Closed { failures: u32 },
+    /// Hardware admission is cut; counts decisions until the next probe.
+    Open { since: u32 },
+    /// One probe is in flight; counts consecutive hardware commits.
+    HalfOpen { streak: u32 },
+}
+
+impl Circuit {
+    /// Records one demotable hardware-path failure; `true` when the circuit
+    /// sheds it into a demotion without consulting the give-up rule.
+    fn sheds(&mut self, config: &CircuitBreakerConfig, metrics: &mut RetryMetrics) -> bool {
+        match *self {
+            Circuit::Closed { failures } => {
+                let failures = failures.saturating_add(1);
+                if failures >= config.open_threshold {
+                    *self = Circuit::Open { since: 0 };
+                    metrics.circuit_opens += 1;
+                    true
+                } else {
+                    *self = Circuit::Closed { failures };
+                    false
+                }
+            }
+            Circuit::Open { since } => {
+                let since = since.saturating_add(1);
+                if since >= config.probe_interval {
+                    // Re-admit one probe attempt onto the hardware path.
+                    *self = Circuit::HalfOpen { streak: 0 };
+                    metrics.circuit_probes += 1;
+                    false
+                } else {
+                    *self = Circuit::Open { since };
+                    true
+                }
+            }
+            Circuit::HalfOpen { .. } => {
+                // The probe aborted before building its close streak.
+                *self = Circuit::Open { since: 0 };
+                metrics.circuit_opens += 1;
+                true
+            }
+        }
     }
 
-    fn decide(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision {
-        match PaperDefault.decide(ctx, rng) {
-            RetryDecision::Demote => RetryDecision::Demote,
-            _ => {
-                // Attempt 1 spins within base_spins; each further attempt
-                // doubles the window (shift capped well before overflow).
-                let window = self
-                    .base_spins
-                    .saturating_mul(1u32 << ctx.attempt.saturating_sub(1).min(16))
-                    .clamp(1, self.max_spins);
-                // Jitter uniformly over [window/2, window]: enough spread to
-                // break lockstep, bounded so the backoff still escalates.
-                let spins = window / 2 + rng.next_below(u64::from(window / 2) + 1) as u32;
-                RetryDecision::BackoffThen(spins)
+    /// Records one hardware commit.
+    fn on_hardware_commit(&mut self, config: &CircuitBreakerConfig, metrics: &mut RetryMetrics) {
+        match *self {
+            Circuit::Closed { .. } => *self = Circuit::Closed { failures: 0 },
+            Circuit::Open { .. } => {}
+            Circuit::HalfOpen { streak } => {
+                let streak = streak.saturating_add(1);
+                if streak >= config.close_streak {
+                    *self = Circuit::Closed { failures: 0 };
+                    metrics.circuit_closes += 1;
+                } else {
+                    *self = Circuit::HalfOpen { streak };
+                }
             }
         }
     }
 }
 
-/// Hardware-greedy: never gives up on a hardware path for contention — the
-/// `hw_retries: u32::MAX` style of the paper's "Standard HyTM" measurement
-/// variant, applied everywhere.  Only hardware limitations demote (they
-/// must; the clamp would force it anyway).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Aggressive;
+/// A token bucket shared by every thread of a run: granted retries drain
+/// it, commits refill it.
+///
+/// When a contention storm drives the retry rate past what commits pay for,
+/// the bucket empties and retries are shed into demotions instead of
+/// amplifying the storm (retries per commit ≤ capacity + refill rate).  An
+/// empty bucket can never strand a transaction: on bottom-tier paths the
+/// clamp turns the shed `Demote` back into `RetryHere`.
+///
+/// Equality and `Debug` cover the configuration, not the current fill.
+pub struct RetryBudget {
+    tokens: AtomicU64,
+    capacity: u64,
+    refill_per_commit: u64,
+}
 
-impl RetryPolicy for Aggressive {
-    fn label(&self) -> &'static str {
-        "aggressive"
+impl RetryBudget {
+    /// A bucket starting full at `capacity`, refilled by
+    /// `refill_per_commit` tokens per committed transaction.
+    pub fn new(capacity: u64, refill_per_commit: u64) -> Self {
+        RetryBudget {
+            tokens: AtomicU64::new(capacity),
+            capacity,
+            refill_per_commit,
+        }
     }
 
-    fn decide(&self, ctx: &AttemptContext, _rng: &mut RetryRng) -> RetryDecision {
-        if ctx.can_demote && ctx.cause.is_hardware_limitation() {
-            RetryDecision::Demote
-        } else {
-            RetryDecision::RetryHere
+    /// The bucket's capacity.
+    pub fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Tokens refilled per committed transaction.
+    pub fn refill_per_commit(&self) -> u64 {
+        self.refill_per_commit
+    }
+
+    /// Current token count (racy snapshot; exact in single-thread tests).
+    pub fn tokens(&self) -> u64 {
+        self.tokens.load(Ordering::Relaxed)
+    }
+
+    /// Takes one token; `false` when the bucket is empty.
+    pub fn try_drain(&self) -> bool {
+        self.tokens
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| t.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Adds the per-commit refill, saturating at capacity.
+    pub fn refill(&self) {
+        let _ = self
+            .tokens
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+                Some((t + self.refill_per_commit).min(self.capacity))
+            });
+    }
+}
+
+impl fmt::Debug for RetryBudget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RetryBudget")
+            .field("capacity", &self.capacity)
+            .field("refill_per_commit", &self.refill_per_commit)
+            .finish()
+    }
+}
+
+impl PartialEq for RetryBudget {
+    fn eq(&self, other: &Self) -> bool {
+        (self.capacity, self.refill_per_commit) == (other.capacity, other.refill_per_commit)
+    }
+}
+
+impl Eq for RetryBudget {}
+
+/// The retry policy: a give-up rule, a pacing, an optional circuit breaker
+/// and an optional shared retry budget (see the module docs).
+///
+/// A decision runs the parts in order: an open circuit sheds a demotable
+/// hardware-path failure straight into [`RetryDecision::Demote`]; otherwise
+/// the give-up rule decides, a granted retry is paced, and the budget must
+/// pay for it or shed it into a demotion (counted as
+/// [`RetryMetrics::budget_exhausted`]).
+///
+/// ```
+/// use rhtm_api::{CircuitBreakerConfig, ComposedPolicy, Pacing, RetryPolicyHandle, SpinWindow};
+///
+/// // Fibonacci backoff behind a circuit breaker: not a built-in label.
+/// let policy = ComposedPolicy::PAPER_DEFAULT
+///     .with_pacing(Pacing::Fibonacci(SpinWindow::DEFAULT))
+///     .with_breaker(CircuitBreakerConfig::default());
+/// assert_eq!(RetryPolicyHandle::new(policy).label(), "custom");
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ComposedPolicy {
+    /// When a contended attempt gives up on its path.
+    pub give_up: GiveUp,
+    /// How granted retries are paced.
+    pub pacing: Pacing,
+    /// The circuit breaker over the hardware fast path, if any.
+    pub breaker: Option<CircuitBreakerConfig>,
+    /// The token bucket shared by every thread using this policy, if any.
+    pub budget: Option<Arc<RetryBudget>>,
+}
+
+impl ComposedPolicy {
+    /// `paper-default`: the paper's thresholds and nothing else.
+    pub const PAPER_DEFAULT: ComposedPolicy = ComposedPolicy {
+        give_up: GiveUp::Paper,
+        pacing: Pacing::None,
+        breaker: None,
+        budget: None,
+    };
+
+    /// The built-in labels, in [`RetryPolicyHandle::builtin`] order.
+    /// Append-only: sweep outputs and the spec-grammar tests key off it.
+    pub const LABELS: [&'static str; 8] = [
+        "paper-default",
+        "capped-exp",
+        "aggressive",
+        "adaptive",
+        "full-jitter",
+        "fib",
+        "cb",
+        "budgeted",
+    ];
+
+    /// The fixed composition a built-in label stands for (`None` for any
+    /// other string).
+    pub fn alias(label: &str) -> Option<ComposedPolicy> {
+        let paper = Self::PAPER_DEFAULT;
+        Some(match label {
+            "paper-default" => paper,
+            "capped-exp" => paper.with_pacing(Pacing::Doubling(SpinWindow::DEFAULT)),
+            "aggressive" => paper.with_give_up(GiveUp::Never),
+            "adaptive" => paper.with_give_up(GiveUp::Adaptive { patience: 2 }),
+            "full-jitter" => paper.with_pacing(Pacing::FullJitter(SpinWindow::DEFAULT)),
+            "fib" => paper.with_pacing(Pacing::Fibonacci(SpinWindow::DEFAULT)),
+            "cb" => paper.with_breaker(CircuitBreakerConfig::default()),
+            // Steady-state loads (a retry or two per commit) never exhaust
+            // it; a storm retrying far faster than it commits does.
+            "budgeted" => paper.with_budget(RetryBudget::new(256, 2)),
+            _ => return None,
+        })
+    }
+
+    /// The composition with a different give-up rule.
+    pub fn with_give_up(self, give_up: GiveUp) -> Self {
+        ComposedPolicy { give_up, ..self }
+    }
+
+    /// The composition with a different pacing.
+    pub fn with_pacing(self, pacing: Pacing) -> Self {
+        ComposedPolicy { pacing, ..self }
+    }
+
+    /// The composition with a circuit breaker.
+    pub fn with_breaker(self, breaker: CircuitBreakerConfig) -> Self {
+        ComposedPolicy {
+            breaker: Some(breaker),
+            ..self
+        }
+    }
+
+    /// The composition with a (fresh) shared retry budget.
+    pub fn with_budget(self, budget: RetryBudget) -> Self {
+        ComposedPolicy {
+            budget: Some(Arc::new(budget)),
+            ..self
         }
     }
 }
 
-/// Demotes early when the cascade is already degraded: if the fallback
-/// counters show an RH2 or all-software commit in flight, hardware attempts
-/// are likely to keep aborting against it, so the first failure demotes
-/// instead of burning `patience` more hardware attempts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Adaptive {
-    /// Extra same-path attempts tolerated while the cascade is healthy.
-    pub patience: u32,
-}
-
-impl Default for Adaptive {
-    fn default() -> Self {
-        Adaptive { patience: 2 }
-    }
-}
-
-impl RetryPolicy for Adaptive {
+impl RetryPolicy for ComposedPolicy {
+    /// The built-in label this composition is an alias for, or `custom`.
     fn label(&self) -> &'static str {
-        "adaptive"
+        Self::LABELS
+            .into_iter()
+            .find(|label| Self::alias(label).as_ref() == Some(self))
+            .unwrap_or("custom")
+    }
+
+    fn decide(
+        &self,
+        ctx: &AttemptContext,
+        state: &mut RetryState,
+        metrics: &mut RetryMetrics,
+    ) -> RetryDecision {
+        if let Some(breaker) = &self.breaker {
+            if ctx.path == PathClass::Hardware
+                && ctx.can_demote
+                && state.circuit.sheds(breaker, metrics)
+            {
+                return RetryDecision::Demote;
+            }
+        }
+        if self.give_up.gives_up(ctx, &mut state.rng) {
+            return RetryDecision::Demote;
+        }
+        let retry = self.pacing.pace(ctx.attempt, &mut state.rng);
+        match &self.budget {
+            Some(budget) if !budget.try_drain() => {
+                metrics.budget_exhausted += 1;
+                RetryDecision::Demote
+            }
+            _ => retry,
+        }
+    }
+
+    fn on_commit(&self, hardware: bool, state: &mut RetryState, metrics: &mut RetryMetrics) {
+        if let (Some(breaker), true) = (&self.breaker, hardware) {
+            state.circuit.on_hardware_commit(breaker, metrics);
+        }
+        if let Some(budget) = &self.budget {
+            budget.refill();
+        }
+    }
+
+    fn wants_commit_hook(&self) -> bool {
+        self.breaker.is_some() || self.budget.is_some()
     }
 
     fn wants_fallback_snapshot(&self) -> bool {
-        true
+        matches!(self.give_up, GiveUp::Adaptive { .. })
+    }
+}
+
+/// The per-thread state a [`RetryPolicy`] decides with: the thread's RNG
+/// and its circuit.
+#[derive(Debug)]
+pub struct RetryState {
+    /// The thread's random stream (the "Mix" draw, backoff jitter).
+    pub rng: RetryRng,
+    circuit: Circuit,
+}
+
+impl RetryState {
+    /// Fresh state: an RNG seeded with `seed` and a closed circuit.
+    pub fn new(seed: u64) -> Self {
+        RetryState {
+            rng: RetryRng::new(seed),
+            circuit: Circuit::Closed { failures: 0 },
+        }
     }
 
-    fn decide(&self, ctx: &AttemptContext, _rng: &mut RetryRng) -> RetryDecision {
-        if !ctx.can_demote {
-            return RetryDecision::RetryHere;
+    /// The circuit as a label (`closed` / `open` / `half-open`).
+    pub fn circuit_label(&self) -> &'static str {
+        match self.circuit {
+            Circuit::Closed { .. } => "closed",
+            Circuit::Open { .. } => "open",
+            Circuit::HalfOpen { .. } => "half-open",
         }
-        if ctx.cause.is_hardware_limitation() {
-            return RetryDecision::Demote;
+    }
+}
+
+/// The retry layer of one runtime thread: the policy, this thread's
+/// [`RetryState`], and the policy's cached hook answers.
+///
+/// Every runtime thread owns exactly one, created at registration from the
+/// runtime's policy and a per-thread seed, and routes every retry decision
+/// and (when the policy asks for it) every commit through it.
+#[derive(Debug)]
+pub struct RetryThread {
+    policy: RetryPolicyHandle,
+    state: RetryState,
+    wants_commit: bool,
+    wants_fallback: bool,
+}
+
+impl RetryThread {
+    /// The retry layer for a thread running `policy`, its RNG seeded with
+    /// `seed`.
+    pub fn new(policy: &RetryPolicyHandle, seed: u64) -> Self {
+        RetryThread {
+            wants_commit: policy.wants_commit_hook(),
+            wants_fallback: policy.wants_fallback_snapshot(),
+            policy: policy.clone(),
+            state: RetryState::new(seed),
         }
-        let patience = if ctx.cascade_degraded() {
-            0
-        } else {
-            self.patience
-        };
-        if ctx.attempt > patience {
-            RetryDecision::Demote
-        } else {
-            RetryDecision::RetryHere
+    }
+
+    /// This thread's RNG and circuit.
+    pub fn state(&self) -> &RetryState {
+        &self.state
+    }
+
+    /// Whether the policy reads the fallback-counter snapshots (cached).
+    #[inline(always)]
+    pub fn wants_fallback_snapshot(&self) -> bool {
+        self.wants_fallback
+    }
+
+    /// The policy's decision for one aborted attempt, clamped
+    /// ([`AttemptContext::clamp`]), with the observed cause and the
+    /// post-clamp outcome recorded into `metrics` — what every runtime acts
+    /// on.
+    #[inline]
+    pub fn decide(&mut self, ctx: &AttemptContext, metrics: &mut RetryMetrics) -> RetryDecision {
+        metrics.record_cause(ctx.cause);
+        let decision = ctx.clamp(self.policy.0.decide(ctx, &mut self.state, metrics));
+        match decision {
+            RetryDecision::RetryHere => metrics.retry_here += 1,
+            RetryDecision::Demote => metrics.demote += 1,
+            RetryDecision::BackoffThen(_) => metrics.backoff += 1,
+        }
+        decision
+    }
+
+    /// Reports a committed transaction to the policy — a not-taken branch
+    /// unless the policy wants the hook.
+    #[inline(always)]
+    pub fn on_commit(&mut self, hardware: bool, metrics: &mut RetryMetrics) {
+        if self.wants_commit {
+            self.policy.0.on_commit(hardware, &mut self.state, metrics);
         }
     }
 }
 
 /// A shared, clonable handle to a [`RetryPolicy`], suitable for embedding
 /// in runtime configs (`Clone + PartialEq + Eq + Debug`; equality compares
-/// [`RetryPolicy::fingerprint`]s).
+/// the policies' `Debug` forms, i.e. their configurations).
 #[derive(Clone)]
 pub struct RetryPolicyHandle(Arc<dyn RetryPolicy>);
 
@@ -495,140 +856,71 @@ impl RetryPolicyHandle {
         RetryPolicyHandle(Arc::new(policy))
     }
 
-    /// The seed behaviour: [`PaperDefault`].
+    fn builtin_alias(label: &str) -> Self {
+        Self::new(ComposedPolicy::alias(label).expect("built-in label"))
+    }
+
+    /// `paper-default`, the seed behaviour.
     pub fn paper_default() -> Self {
-        Self::new(PaperDefault)
+        Self::builtin_alias("paper-default")
     }
 
-    /// [`CappedExponential`] with default window parameters.
+    /// `capped-exp`: paper thresholds, doubling jittered backoff.
     pub fn capped_exponential() -> Self {
-        Self::new(CappedExponential::default())
+        Self::builtin_alias("capped-exp")
     }
 
-    /// [`Aggressive`].
+    /// `aggressive`: never gives up for contention.
     pub fn aggressive() -> Self {
-        Self::new(Aggressive)
+        Self::builtin_alias("aggressive")
     }
 
-    /// [`Adaptive`] with default patience.
+    /// `adaptive`: patience 2, none while the cascade is degraded.
     pub fn adaptive() -> Self {
-        Self::new(Adaptive::default())
+        Self::builtin_alias("adaptive")
     }
 
-    /// [`crate::retry2::FullJitter`] with default window parameters.
+    /// `full-jitter`: paper thresholds, full-jitter doubling backoff.
     pub fn full_jitter() -> Self {
-        Self::new(crate::retry2::FullJitter::default())
+        Self::builtin_alias("full-jitter")
     }
 
-    /// [`crate::retry2::FibonacciBackoff`] with default window parameters.
+    /// `fib`: paper thresholds, Fibonacci backoff.
     pub fn fibonacci() -> Self {
-        Self::new(crate::retry2::FibonacciBackoff::default())
+        Self::builtin_alias("fib")
     }
 
-    /// [`crate::retry2::CircuitBreaker`] around [`PaperDefault`] with the
-    /// default breaker configuration (label `cb`).
+    /// `cb`: paper thresholds behind the default circuit breaker.
     pub fn circuit_breaker() -> Self {
-        Self::new(crate::retry2::CircuitBreaker::paper_default())
+        Self::builtin_alias("cb")
     }
 
-    /// [`crate::retry2::Budgeted`] around [`PaperDefault`] with the default
-    /// token bucket (label `budgeted`).
+    /// `budgeted`: paper thresholds paying from a fresh 256-token bucket
+    /// that refills 2 tokens per commit.
     pub fn budgeted() -> Self {
-        Self::new(crate::retry2::Budgeted::paper_default())
+        Self::builtin_alias("budgeted")
     }
 
-    /// Every built-in policy, in a stable order (used by the
-    /// `ablation_retry` / `ablation_retry2` sweeps).  Append-only: sweep
-    /// outputs and the spec-grammar tests key off this order.
+    /// Every built-in policy, in [`ComposedPolicy::LABELS`] order (used by
+    /// the `ablation_retry` / `ablation_retry2` sweeps).
     pub fn builtin() -> Vec<RetryPolicyHandle> {
-        vec![
-            Self::paper_default(),
-            Self::capped_exponential(),
-            Self::aggressive(),
-            Self::adaptive(),
-            Self::full_jitter(),
-            Self::fibonacci(),
-            Self::circuit_breaker(),
-            Self::budgeted(),
-        ]
+        ComposedPolicy::LABELS
+            .into_iter()
+            .map(Self::builtin_alias)
+            .collect()
     }
 
     /// Parses a built-in policy label (`paper-default`, `capped-exp`,
     /// `aggressive`, `adaptive`, `full-jitter`, `fib`, `cb`, `budgeted`)
-    /// back into a handle.
-    ///
-    /// Each call constructs a **fresh** policy instance: stateful Retry 2.0
-    /// policies parsed into different specs never share a breaker state or
-    /// token bucket (handle equality still compares configurations, via
-    /// [`RetryPolicy::fingerprint`]).
+    /// back into a handle.  Each call builds a fresh policy, so policies
+    /// parsed into different specs never share a token bucket.
     pub fn parse(label: &str) -> Option<RetryPolicyHandle> {
-        let l = label.trim().to_ascii_lowercase();
-        Self::builtin().into_iter().find(|p| p.label() == l)
-    }
-
-    /// The shared policy object, for composition: Retry 2.0 wrappers
-    /// ([`crate::retry2::CircuitBreaker`], [`crate::retry2::Budgeted`])
-    /// take any handle as their inner policy.
-    pub fn shared(&self) -> Arc<dyn RetryPolicy> {
-        Arc::clone(&self.0)
+        ComposedPolicy::alias(&label.trim().to_ascii_lowercase()).map(Self::new)
     }
 
     /// The wrapped policy's label.
     pub fn label(&self) -> &'static str {
         self.0.label()
-    }
-
-    /// Delegates to [`RetryPolicy::decide`].
-    #[inline]
-    pub fn decide(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision {
-        self.0.decide(ctx, rng)
-    }
-
-    /// [`RetryPolicy::decide`] followed by [`AttemptContext::clamp`] — what
-    /// every runtime actually acts on.
-    #[inline]
-    pub fn decide_clamped(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision {
-        ctx.clamp(self.0.decide(ctx, rng))
-    }
-
-    /// [`RetryPolicy::decide_observed`] followed by
-    /// [`AttemptContext::clamp`], recording the observed abort cause and
-    /// the post-clamp outcome into the thread's [`RetryMetrics`] — the
-    /// Retry 2.0 decision entry point every runtime calls.
-    #[inline]
-    pub fn decide_clamped_observed(
-        &self,
-        ctx: &AttemptContext,
-        rng: &mut RetryRng,
-        metrics: &mut RetryMetrics,
-    ) -> RetryDecision {
-        metrics.record_cause(ctx.cause);
-        let decision = ctx.clamp(self.0.decide_observed(ctx, rng, metrics));
-        match decision {
-            RetryDecision::RetryHere => metrics.retry_here += 1,
-            RetryDecision::Demote => metrics.demote += 1,
-            RetryDecision::BackoffThen(_) => metrics.backoff += 1,
-        }
-        decision
-    }
-
-    /// Delegates to [`RetryPolicy::on_commit`] (guarded by the cached
-    /// [`RetryPolicyHandle::wants_commit_hook`] answer in the runtimes).
-    #[inline]
-    pub fn on_commit(&self, hardware: bool, metrics: &mut RetryMetrics) {
-        self.0.on_commit(hardware, metrics);
-    }
-
-    /// Delegates to [`RetryPolicy::wants_commit_hook`] (runtimes cache the
-    /// answer per thread).
-    pub fn wants_commit_hook(&self) -> bool {
-        self.0.wants_commit_hook()
-    }
-
-    /// Delegates to [`RetryPolicy::wants_fallback_snapshot`] (runtimes
-    /// cache the answer per thread).
-    pub fn wants_fallback_snapshot(&self) -> bool {
-        self.0.wants_fallback_snapshot()
     }
 }
 
@@ -646,7 +938,7 @@ impl fmt::Debug for RetryPolicyHandle {
 
 impl PartialEq for RetryPolicyHandle {
     fn eq(&self, other: &Self) -> bool {
-        self.0.fingerprint() == other.0.fingerprint()
+        format!("{:?}", self.0) == format!("{:?}", other.0)
     }
 }
 
@@ -677,11 +969,40 @@ mod tests {
         }
     }
 
+    /// A demotable hardware conflict with an unbounded budget.
+    fn hw_ctx(attempt: u32) -> AttemptContext {
+        AttemptContext {
+            retry_budget: u32::MAX,
+            ..ctx(PathClass::Hardware, AbortCause::Conflict, attempt)
+        }
+    }
+
+    /// One unclamped decision, discarding the metrics.
+    fn decide(
+        policy: &ComposedPolicy,
+        c: &AttemptContext,
+        state: &mut RetryState,
+    ) -> RetryDecision {
+        policy.decide(c, state, &mut RetryMetrics::default())
+    }
+
+    fn alias(label: &str) -> ComposedPolicy {
+        ComposedPolicy::alias(label).unwrap()
+    }
+
+    /// A policy that never gives up for contention, so every decision a
+    /// test observes is the breaker's or the budget's own.
+    const NEVER: ComposedPolicy = ComposedPolicy {
+        give_up: GiveUp::Never,
+        ..ComposedPolicy::PAPER_DEFAULT
+    };
+
     #[test]
     fn paper_default_budget_is_max_extra_attempts() {
         // Budget N ⇒ attempts 1..=N retry, attempt N+1 demotes — the
         // unified RH1 (`>`) / RH2 (`>=`) semantics.
-        let mut rng = RetryRng::new(1);
+        let paper = ComposedPolicy::PAPER_DEFAULT;
+        let mut state = RetryState::new(1);
         for budget in [0u32, 1, 4, 8] {
             for attempt in 1..=budget {
                 let c = AttemptContext {
@@ -689,7 +1010,7 @@ mod tests {
                     ..ctx(PathClass::CommitHtm, AbortCause::Conflict, attempt)
                 };
                 assert_eq!(
-                    PaperDefault.decide(&c, &mut rng),
+                    decide(&paper, &c, &mut state),
                     RetryDecision::RetryHere,
                     "budget {budget}, attempt {attempt}"
                 );
@@ -699,7 +1020,7 @@ mod tests {
                 ..ctx(PathClass::CommitHtm, AbortCause::Conflict, budget + 1)
             };
             assert_eq!(
-                PaperDefault.decide(&c, &mut rng),
+                decide(&paper, &c, &mut state),
                 RetryDecision::Demote,
                 "budget {budget} must demote on attempt {}",
                 budget + 1
@@ -709,7 +1030,8 @@ mod tests {
 
     #[test]
     fn paper_default_mix_percent_governs_after_budget() {
-        let mut rng = RetryRng::new(7);
+        let paper = ComposedPolicy::PAPER_DEFAULT;
+        let mut state = RetryState::new(7);
         let base = ctx(PathClass::Hardware, AbortCause::Conflict, 1);
         let never = AttemptContext {
             mix_percent: 0,
@@ -719,14 +1041,8 @@ mod tests {
             mix_percent: 100,
             ..base
         };
-        assert_eq!(
-            PaperDefault.decide(&never, &mut rng),
-            RetryDecision::RetryHere
-        );
-        assert_eq!(
-            PaperDefault.decide(&always, &mut rng),
-            RetryDecision::Demote
-        );
+        assert_eq!(decide(&paper, &never, &mut state), RetryDecision::RetryHere);
+        assert_eq!(decide(&paper, &always, &mut state), RetryDecision::Demote);
         // A 50% mix must produce both outcomes over many draws.
         let mixed = AttemptContext {
             mix_percent: 50,
@@ -734,7 +1050,7 @@ mod tests {
         };
         let mut demotes = 0;
         for _ in 0..200 {
-            if PaperDefault.decide(&mixed, &mut rng) == RetryDecision::Demote {
+            if decide(&paper, &mixed, &mut state) == RetryDecision::Demote {
                 demotes += 1;
             }
         }
@@ -760,22 +1076,24 @@ mod tests {
 
     #[test]
     fn aggressive_only_demotes_on_hardware_limitations() {
-        let mut rng = RetryRng::new(3);
+        let aggressive = alias("aggressive");
+        let mut state = RetryState::new(3);
         let c = ctx(PathClass::Hardware, AbortCause::Conflict, 1_000_000);
-        assert_eq!(Aggressive.decide(&c, &mut rng), RetryDecision::RetryHere);
+        assert_eq!(
+            decide(&aggressive, &c, &mut state),
+            RetryDecision::RetryHere
+        );
         let c = ctx(PathClass::Hardware, AbortCause::Capacity, 1);
-        assert_eq!(Aggressive.decide(&c, &mut rng), RetryDecision::Demote);
+        assert_eq!(decide(&aggressive, &c, &mut state), RetryDecision::Demote);
     }
 
     #[test]
     fn adaptive_loses_patience_when_the_cascade_degrades() {
-        let mut rng = RetryRng::new(3);
-        let healthy = AttemptContext {
-            retry_budget: u32::MAX,
-            ..ctx(PathClass::Hardware, AbortCause::Conflict, 1)
-        };
+        let adaptive = alias("adaptive");
+        let mut state = RetryState::new(3);
+        let healthy = hw_ctx(1);
         assert_eq!(
-            Adaptive::default().decide(&healthy, &mut rng),
+            decide(&adaptive, &healthy, &mut state),
             RetryDecision::RetryHere
         );
         let degraded = AttemptContext {
@@ -783,7 +1101,7 @@ mod tests {
             ..healthy
         };
         assert_eq!(
-            Adaptive::default().decide(&degraded, &mut rng),
+            decide(&adaptive, &degraded, &mut state),
             RetryDecision::Demote
         );
         let exhausted = AttemptContext {
@@ -791,49 +1109,43 @@ mod tests {
             ..healthy
         };
         assert_eq!(
-            Adaptive::default().decide(&exhausted, &mut rng),
+            decide(&adaptive, &exhausted, &mut state),
             RetryDecision::Demote
         );
     }
 
     #[test]
     fn capped_exponential_backs_off_within_bounds() {
-        let mut rng = RetryRng::new(11);
-        let policy = CappedExponential::default();
+        let policy = alias("capped-exp");
+        let window = SpinWindow::DEFAULT;
+        let mut state = RetryState::new(11);
         let mut last_window_top = 0;
         for attempt in 1..=20 {
-            let c = AttemptContext {
-                retry_budget: u32::MAX,
-                ..ctx(PathClass::Hardware, AbortCause::Conflict, attempt)
-            };
-            match policy.decide(&c, &mut rng) {
+            match decide(&policy, &hw_ctx(attempt), &mut state) {
                 RetryDecision::BackoffThen(spins) => {
-                    assert!(spins <= policy.max_spins, "attempt {attempt}: {spins}");
+                    assert!(spins <= window.max_spins, "attempt {attempt}: {spins}");
                     last_window_top = last_window_top.max(spins);
                 }
                 other => panic!("expected backoff, got {other:?}"),
             }
         }
         assert!(
-            last_window_top > policy.base_spins,
+            last_window_top > window.base_spins,
             "backoff never escalated"
         );
         // Hardware limitations still demote.
         let c = ctx(PathClass::Hardware, AbortCause::Unsupported, 1);
-        assert_eq!(policy.decide(&c, &mut rng), RetryDecision::Demote);
+        assert_eq!(decide(&policy, &c, &mut state), RetryDecision::Demote);
     }
 
     #[test]
     fn jitter_streams_diverge_across_threads() {
-        let policy = CappedExponential::default();
-        let c = AttemptContext {
-            retry_budget: u32::MAX,
-            ..ctx(PathClass::Hardware, AbortCause::Conflict, 6)
-        };
-        let mut a = RetryRng::new(1);
-        let mut b = RetryRng::new(2);
-        let draws_a: Vec<_> = (0..8).map(|_| policy.decide(&c, &mut a)).collect();
-        let draws_b: Vec<_> = (0..8).map(|_| policy.decide(&c, &mut b)).collect();
+        let policy = alias("capped-exp");
+        let c = hw_ctx(6);
+        let mut a = RetryState::new(1);
+        let mut b = RetryState::new(2);
+        let draws_a: Vec<_> = (0..8).map(|_| decide(&policy, &c, &mut a)).collect();
+        let draws_b: Vec<_> = (0..8).map(|_| decide(&policy, &c, &mut b)).collect();
         assert_ne!(draws_a, draws_b, "seeded jitter must differ per thread");
     }
 
@@ -848,11 +1160,16 @@ mod tests {
             RetryPolicyHandle::paper_default(),
             RetryPolicyHandle::aggressive()
         );
-        // Same type, different parameters: distinct fingerprints.
-        assert_ne!(
-            RetryPolicyHandle::new(Adaptive { patience: 1 }),
-            RetryPolicyHandle::new(Adaptive { patience: 9 })
-        );
+        // Same parts, different parameters: distinct policies.
+        let adaptive = |patience| {
+            RetryPolicyHandle::new(
+                ComposedPolicy::PAPER_DEFAULT.with_give_up(GiveUp::Adaptive { patience }),
+            )
+        };
+        assert_ne!(adaptive(1), adaptive(9));
+        assert_eq!(adaptive(2), RetryPolicyHandle::adaptive());
+        assert_eq!(adaptive(1).label(), "custom");
+        assert_eq!(RetryPolicyHandle::parse(" CB ").unwrap().label(), "cb");
         assert_eq!(RetryPolicyHandle::parse("nonsense"), None);
     }
 
@@ -878,57 +1195,27 @@ mod tests {
     }
 
     #[test]
-    fn fork_decorrelates_salts_but_advances_parents_identically() {
-        let mut a = RetryRng::new(42);
-        let mut b = RetryRng::new(42);
-        let child_a = a.fork(1).next_u64();
-        let child_b = b.fork(2).next_u64();
-        assert_ne!(child_a, child_b, "different salts, different child streams");
-        // The parent advancement is salt-independent.
-        assert_eq!(a.next_u64(), b.next_u64());
-        // Repeated forks with one salt still differ (the parent advanced).
-        let mut c = RetryRng::new(42);
-        assert_ne!(c.fork(1).next_u64(), c.fork(1).next_u64());
-    }
-
-    #[test]
-    fn decide_clamped_observed_records_causes_and_outcomes() {
-        use crate::stats::RetryMetrics;
-
-        let mut rng = RetryRng::new(4);
+    fn retry_thread_records_causes_and_outcomes() {
         let mut m = RetryMetrics::default();
-        let policy = RetryPolicyHandle::paper_default();
+        let mut thread = RetryThread::new(&RetryPolicyHandle::paper_default(), 4);
         // Budget 1 ⇒ attempt 1 retries, attempt 2 demotes.
         let retrying = AttemptContext {
             retry_budget: 1,
             ..ctx(PathClass::Hardware, AbortCause::Conflict, 1)
         };
-        assert_eq!(
-            policy.decide_clamped_observed(&retrying, &mut rng, &mut m),
-            RetryDecision::RetryHere
-        );
+        assert_eq!(thread.decide(&retrying, &mut m), RetryDecision::RetryHere);
         let exhausted = AttemptContext {
             attempt: 2,
             ..retrying
         };
-        assert_eq!(
-            policy.decide_clamped_observed(&exhausted, &mut rng, &mut m),
-            RetryDecision::Demote
-        );
+        assert_eq!(thread.decide(&exhausted, &mut m), RetryDecision::Demote);
         // A capacity abort is clamped to Demote and recorded post-clamp.
         let capacity = ctx(PathClass::Hardware, AbortCause::Capacity, 1);
-        assert_eq!(
-            policy.decide_clamped_observed(&capacity, &mut rng, &mut m),
-            RetryDecision::Demote
-        );
+        assert_eq!(thread.decide(&capacity, &mut m), RetryDecision::Demote);
         // Backoff outcomes are recorded as backoff.
-        let backoff = RetryPolicyHandle::capped_exponential();
-        let paced = AttemptContext {
-            retry_budget: u32::MAX,
-            ..ctx(PathClass::Hardware, AbortCause::Conflict, 1)
-        };
+        let mut backoff = RetryThread::new(&RetryPolicyHandle::capped_exponential(), 4);
         assert!(matches!(
-            backoff.decide_clamped_observed(&paced, &mut rng, &mut m),
+            backoff.decide(&hw_ctx(1), &mut m),
             RetryDecision::BackoffThen(_)
         ));
         assert_eq!(m.retry_here, 1);
@@ -964,5 +1251,199 @@ mod tests {
             let stateful = matches!(p.label(), "cb" | "budgeted");
             assert_eq!(p.wants_commit_hook(), stateful, "{}", p.label());
         }
+    }
+
+    #[test]
+    fn only_adaptive_loads_the_fallback_counters() {
+        for p in RetryPolicyHandle::builtin() {
+            let adaptive = p.label() == "adaptive";
+            assert_eq!(p.wants_fallback_snapshot(), adaptive, "{}", p.label());
+        }
+    }
+
+    fn breaker(open_threshold: u32, probe_interval: u32, close_streak: u32) -> ComposedPolicy {
+        NEVER.with_breaker(CircuitBreakerConfig {
+            open_threshold,
+            probe_interval,
+            close_streak,
+        })
+    }
+
+    #[test]
+    fn breaker_opens_after_threshold_and_probes_back() {
+        let cb = breaker(3, 2, 1);
+        let mut state = RetryState::new(5);
+        let mut m = RetryMetrics::default();
+        let ctx = hw_ctx(1);
+        assert_eq!(
+            cb.decide(&ctx, &mut state, &mut m),
+            RetryDecision::RetryHere
+        );
+        assert_eq!(
+            cb.decide(&ctx, &mut state, &mut m),
+            RetryDecision::RetryHere
+        );
+        assert_eq!(state.circuit_label(), "closed");
+        // Third consecutive failure opens.
+        assert_eq!(cb.decide(&ctx, &mut state, &mut m), RetryDecision::Demote);
+        assert_eq!(state.circuit_label(), "open");
+        assert_eq!(m.circuit_opens, 1);
+        // One more demote, then the probe interval elapses.
+        assert_eq!(cb.decide(&ctx, &mut state, &mut m), RetryDecision::Demote);
+        assert_eq!(
+            cb.decide(&ctx, &mut state, &mut m),
+            RetryDecision::RetryHere
+        );
+        assert_eq!(state.circuit_label(), "half-open");
+        assert_eq!(m.circuit_probes, 1);
+        // The probe commits in hardware: close.
+        cb.on_commit(true, &mut state, &mut m);
+        assert_eq!(state.circuit_label(), "closed");
+        assert_eq!(m.circuit_closes, 1);
+    }
+
+    #[test]
+    fn breaker_commit_resets_the_closed_failure_count() {
+        let cb = breaker(2, 1, 1);
+        let mut state = RetryState::new(5);
+        let mut m = RetryMetrics::default();
+        let ctx = hw_ctx(1);
+        cb.decide(&ctx, &mut state, &mut m);
+        cb.on_commit(true, &mut state, &mut m); // resets failures
+        cb.decide(&ctx, &mut state, &mut m);
+        assert_eq!(
+            state.circuit_label(),
+            "closed",
+            "streak was broken by a commit"
+        );
+        cb.decide(&ctx, &mut state, &mut m);
+        assert_eq!(state.circuit_label(), "open");
+    }
+
+    #[test]
+    fn breaker_ignores_non_hardware_decisions() {
+        let cb = breaker(1, 1, 1);
+        let mut state = RetryState::new(5);
+        let mut m = RetryMetrics::default();
+        let sw = AttemptContext {
+            path: PathClass::Software,
+            can_demote: false,
+            ..hw_ctx(1)
+        };
+        for _ in 0..10 {
+            assert_eq!(cb.decide(&sw, &mut state, &mut m), RetryDecision::RetryHere);
+        }
+        assert_eq!(state.circuit_label(), "closed");
+        assert_eq!(m.circuit_opens, 0);
+    }
+
+    #[test]
+    fn budget_drains_refills_and_sheds() {
+        let b = NEVER.with_budget(RetryBudget::new(2, 3));
+        let bucket = Arc::clone(b.budget.as_ref().unwrap());
+        let mut state = RetryState::new(5);
+        let mut m = RetryMetrics::default();
+        let ctx = hw_ctx(1);
+        assert_eq!(b.decide(&ctx, &mut state, &mut m), RetryDecision::RetryHere);
+        assert_eq!(b.decide(&ctx, &mut state, &mut m), RetryDecision::RetryHere);
+        assert_eq!(bucket.tokens(), 0);
+        assert_eq!(b.decide(&ctx, &mut state, &mut m), RetryDecision::Demote);
+        assert_eq!(m.budget_exhausted, 1);
+        // A commit refills (saturating at capacity).
+        b.on_commit(false, &mut state, &mut m);
+        assert_eq!(bucket.tokens(), 2, "refill saturates at capacity");
+        assert_eq!(b.decide(&ctx, &mut state, &mut m), RetryDecision::RetryHere);
+    }
+
+    #[test]
+    fn infinite_threshold_breaker_delegates_forever() {
+        let paper = ComposedPolicy::PAPER_DEFAULT;
+        let cb = paper.clone().with_breaker(CircuitBreakerConfig {
+            open_threshold: u32::MAX,
+            ..CircuitBreakerConfig::default()
+        });
+        let mut state_a = RetryState::new(77);
+        let mut state_b = RetryState::new(77);
+        let mut ma = RetryMetrics::default();
+        for attempt in 1..=200u32 {
+            let ctx = AttemptContext {
+                mix_percent: 50,
+                retry_budget: 2,
+                ..hw_ctx(attempt % 7 + 1)
+            };
+            assert_eq!(
+                cb.decide(&ctx, &mut state_a, &mut ma),
+                decide(&paper, &ctx, &mut state_b),
+                "attempt {attempt}"
+            );
+        }
+        assert_eq!(state_a.circuit_label(), "closed");
+        assert_eq!(
+            (ma.circuit_opens, ma.circuit_probes, ma.circuit_closes),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn jitter_policies_stay_in_window() {
+        let window = SpinWindow::DEFAULT;
+        let mut state = RetryState::new(9);
+        for attempt in 1..=24 {
+            match decide(&alias("full-jitter"), &hw_ctx(attempt), &mut state) {
+                RetryDecision::BackoffThen(x) => assert!(x <= window.max_spins),
+                other => panic!("expected backoff, got {other:?}"),
+            }
+        }
+
+        let mut state = RetryState::new(3);
+        let mut windows = Vec::new();
+        for attempt in 1..=20 {
+            match decide(&alias("fib"), &hw_ctx(attempt), &mut state) {
+                RetryDecision::BackoffThen(s) => {
+                    assert!(s <= window.max_spins, "attempt {attempt}: {s}");
+                    windows.push(s);
+                }
+                other => panic!("expected backoff, got {other:?}"),
+            }
+        }
+        assert!(
+            windows.iter().max().unwrap() > &window.base_spins,
+            "fib escalates"
+        );
+        // The fibonacci sequence itself.
+        assert_eq!(
+            (1..=10).map(fib).collect::<Vec<_>>(),
+            vec![1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+        );
+        assert_eq!(fib(0), 1);
+        assert_eq!(fib(64), fib(1000), "saturated");
+    }
+
+    #[test]
+    fn compositions_compare_by_configuration() {
+        // Fresh builds of the same composition compare equal...
+        for label in ComposedPolicy::LABELS {
+            assert_eq!(alias(label), alias(label), "{label}");
+        }
+        // ...a drained bucket is still the same configuration...
+        let budgeted = alias("budgeted");
+        assert!(budgeted.budget.as_ref().unwrap().try_drain());
+        assert_eq!(budgeted, alias("budgeted"));
+        assert_eq!(
+            RetryPolicyHandle::new(budgeted),
+            RetryPolicyHandle::budgeted()
+        );
+        // ...different configurations are not.
+        assert_ne!(
+            ComposedPolicy::PAPER_DEFAULT.with_breaker(CircuitBreakerConfig {
+                open_threshold: 9,
+                ..CircuitBreakerConfig::default()
+            }),
+            alias("cb")
+        );
+        assert_ne!(
+            ComposedPolicy::PAPER_DEFAULT.with_budget(RetryBudget::new(1, 1)),
+            alias("budgeted")
+        );
     }
 }

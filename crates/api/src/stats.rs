@@ -153,9 +153,9 @@ impl Stopwatch {
 /// Always-on observability counters for the retry layer ("Retry 2.0").
 ///
 /// Every runtime records the post-clamp outcome of each retry decision and
-/// the abort cause that triggered it; the Retry 2.0 policies
-/// ([`crate::retry2`]) additionally record circuit-breaker state
-/// transitions and retry-budget exhaustion events.  All counters are plain
+/// the abort cause that triggered it; policies with a circuit breaker or a
+/// retry budget ([`crate::retry::ComposedPolicy`]) additionally record
+/// circuit-breaker state transitions and retry-budget exhaustion events.  All counters are plain
 /// per-thread `u64` increments on the abort path (never on the commit fast
 /// path), so the surface is cheap enough to stay on in every benchmark —
 /// the numbers flow through [`TxStats::merge`] into the `bench_suite` /

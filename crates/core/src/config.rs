@@ -33,10 +33,11 @@ pub struct RhConfig {
     ///
     /// The percentage reaches the decision through
     /// [`rhtm_api::AttemptContext::mix_percent`]; how it is interpreted is
-    /// up to [`RhConfig::retry_policy`] (the default [`PaperDefault`]
-    /// applies it exactly as described above).
+    /// up to [`RhConfig::retry_policy`] (the default `paper-default`
+    /// policy's [`GiveUp::Paper`] rule applies it exactly as described
+    /// above).
     ///
-    /// [`PaperDefault`]: rhtm_api::retry::PaperDefault
+    /// [`GiveUp::Paper`]: rhtm_api::GiveUp::Paper
     pub slow_path_percent: u8,
     /// Retry budget of the RH1 slow-path commit-time hardware transaction:
     /// the maximum number of *extra* attempts after its first contention
@@ -51,12 +52,10 @@ pub struct RhConfig {
     /// The contention-management policy consulted after every abort: it
     /// decides when an attempt gives up on its current path (fast-path →
     /// slow-path, commit/write-back HTM → next fallback) and how retries
-    /// are paced.  The default, [`PaperDefault`], reproduces the paper's
+    /// are paced.  The default, `paper-default`, reproduces the paper's
     /// hardcoded thresholds exactly — the budgets above and
     /// `slow_path_percent` are carried into each decision's
     /// [`rhtm_api::AttemptContext`].
-    ///
-    /// [`PaperDefault`]: rhtm_api::retry::PaperDefault
     pub retry_policy: RetryPolicyHandle,
     /// Run every transaction on the mixed slow-path (no fast-path attempts).
     /// This is the "RH1 Slow" row of the paper's single-thread breakdown

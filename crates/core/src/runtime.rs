@@ -6,8 +6,8 @@ use std::sync::Arc;
 use rhtm_api::Backoff;
 
 use rhtm_api::{
-    AbortCause, AttemptContext, PathClass, PathKind, RetryDecision, RetryRng, Stopwatch, TmRuntime,
-    TmThread, TxResult, TxStats, Txn,
+    AbortCause, AttemptContext, PathClass, PathKind, RetryDecision, RetryThread, Stopwatch,
+    TmRuntime, TmThread, TxResult, TxStats, Txn,
 };
 use rhtm_htm::linemap::{StripeMarks, WriteSet};
 use rhtm_htm::{HtmConfig, HtmSim, HtmThread};
@@ -128,15 +128,13 @@ impl TmRuntime for RhRuntime {
     fn register_thread(&self) -> RhThread {
         let token = self.registry.register();
         let htm = HtmThread::new(Arc::clone(&self.sim), token.id() as u64);
-        let rng = RetryRng::new(
+        let retry = RetryThread::new(
+            &self.config.retry_policy,
             self.config.seed ^ ((token.id() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
         );
-        let policy_wants_fallback = self.config.retry_policy.wants_fallback_snapshot();
-        let policy_wants_commit = self.config.retry_policy.wants_commit_hook();
         RhThread {
             fallback: FallbackState::new(&self.sim),
-            policy_wants_fallback,
-            policy_wants_commit,
+            retry,
             sim: Arc::clone(&self.sim),
             htm,
             token,
@@ -155,7 +153,6 @@ impl TmRuntime for RhRuntime {
             visible: Vec::with_capacity(64),
             commit_salt: 0,
             in_txn: false,
-            rng,
         }
     }
 }
@@ -201,16 +198,9 @@ pub struct RhThread {
     /// clock scheme.
     pub(crate) commit_salt: u64,
     in_txn: bool,
-    /// Per-thread RNG feeding the retry policy (the "Mix" draw, backoff
-    /// jitter) — policies are shared and stateless, randomness lives here.
-    rng: RetryRng,
-    /// Cached [`rhtm_api::RetryPolicy::wants_fallback_snapshot`], so
-    /// policies that ignore the cascade state (the default) cost no
-    /// shared-counter reads on the abort path.
-    policy_wants_fallback: bool,
-    /// Cached [`rhtm_api::RetryPolicy::wants_commit_hook`], so stateless
-    /// policies (the default) cost nothing on the commit fast path.
-    policy_wants_commit: bool,
+    /// The retry policy with this thread's RNG (the "Mix" draw, backoff
+    /// jitter) and circuit, plus the policy's cached hook answers.
+    retry: RetryThread,
 }
 
 impl RhThread {
@@ -335,16 +325,14 @@ impl RhThread {
             fallback_rh2,
             fallback_all_software,
         };
-        self.config
-            .retry_policy
-            .decide_clamped_observed(&ctx, &mut self.rng, &mut self.stats.retry)
+        self.retry.decide(&ctx, &mut self.stats.retry)
     }
 
     /// The fallback counters as the policy context wants them: real
     /// snapshots for policies that consult the cascade state, zeros (no
     /// shared-line reads on the abort path) for the rest.
     fn fallback_snapshot(&self) -> (u64, u64) {
-        if self.policy_wants_fallback {
+        if self.retry.wants_fallback_snapshot() {
             (
                 self.fallback.rh2_fallback_count(&self.sim),
                 self.fallback.all_software_count(&self.sim),
@@ -375,9 +363,7 @@ impl RhThread {
             fallback_rh2,
             fallback_all_software,
         };
-        self.config
-            .retry_policy
-            .decide_clamped_observed(&ctx, &mut self.rng, &mut self.stats.retry)
+        self.retry.decide(&ctx, &mut self.stats.retry)
     }
 }
 
@@ -446,11 +432,8 @@ impl TmThread for RhThread {
             match attempt {
                 Ok((r, kind)) => {
                     self.stats.record_commit(kind);
-                    if self.policy_wants_commit {
-                        self.config
-                            .retry_policy
-                            .on_commit(kind == PathKind::HardwareFast, &mut self.stats.retry);
-                    }
+                    self.retry
+                        .on_commit(kind == PathKind::HardwareFast, &mut self.stats.retry);
                     break r;
                 }
                 Err(abort) => {

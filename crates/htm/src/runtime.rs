@@ -13,7 +13,7 @@ use rhtm_api::Backoff;
 
 use rhtm_api::{
     retry, Abort, AbortCause, AttemptContext, PathClass, PathKind, RetryDecision,
-    RetryPolicyHandle, RetryRng, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
+    RetryPolicyHandle, RetryThread, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
 };
 use rhtm_mem::{Addr, ThreadRegistry, ThreadToken, TmMemory};
 
@@ -28,7 +28,7 @@ pub struct HtmRuntimeConfig {
     /// The contention-management policy consulted after every abort.  The
     /// runtime has no software fallback, so demotion decisions are clamped
     /// to hardware retries; the policy still controls retry pacing (e.g.
-    /// [`rhtm_api::retry::CappedExponential`] jittered backoff).
+    /// the `capped-exp` jittered backoff).
     pub retry_policy: RetryPolicyHandle,
 }
 
@@ -111,16 +111,16 @@ impl TmRuntime for HtmRuntime {
     fn register_thread(&self) -> HtmRuntimeThread {
         let token = self.registry.register();
         let htm = HtmThread::new(Arc::clone(&self.sim), token.id() as u64);
-        let rng = RetryRng::new(0x4854_4d52 ^ (token.id() as u64 + 1) << 21);
-        let policy_wants_commit = self.config.retry_policy.wants_commit_hook();
+        let retry = RetryThread::new(
+            &self.config.retry_policy,
+            0x4854_4d52 ^ (token.id() as u64 + 1) << 21,
+        );
         HtmRuntimeThread {
             htm,
             token,
-            policy: self.config.retry_policy.clone(),
-            policy_wants_commit,
+            retry,
             stats: TxStats::new(false),
             in_txn: false,
-            rng,
         }
     }
 }
@@ -129,13 +129,10 @@ impl TmRuntime for HtmRuntime {
 pub struct HtmRuntimeThread {
     htm: HtmThread,
     token: ThreadToken,
-    policy: RetryPolicyHandle,
-    /// Cached [`rhtm_api::RetryPolicy::wants_commit_hook`] answer.
-    policy_wants_commit: bool,
+    /// The retry policy with this thread's RNG and circuit.
+    retry: RetryThread,
     stats: TxStats,
     in_txn: bool,
-    /// Per-thread RNG feeding the retry policy (backoff jitter).
-    rng: RetryRng,
 }
 
 impl HtmRuntimeThread {
@@ -189,9 +186,7 @@ impl TmThread for HtmRuntimeThread {
                 Ok(r) => {
                     self.stats.htm_commits += 1;
                     self.stats.record_commit(PathKind::HardwareFast);
-                    if self.policy_wants_commit {
-                        self.policy.on_commit(true, &mut self.stats.retry);
-                    }
+                    self.retry.on_commit(true, &mut self.stats.retry);
                     break r;
                 }
                 Err(abort) => {
@@ -209,11 +204,7 @@ impl TmThread for HtmRuntimeThread {
                         fallback_rh2: 0,
                         fallback_all_software: 0,
                     };
-                    match self.policy.decide_clamped_observed(
-                        &ctx,
-                        &mut self.rng,
-                        &mut self.stats.retry,
-                    ) {
+                    match self.retry.decide(&ctx, &mut self.stats.retry) {
                         RetryDecision::BackoffThen(spins) => retry::spin(spins),
                         _ => backoff.snooze(),
                     }

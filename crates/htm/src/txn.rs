@@ -653,43 +653,46 @@ mod tests {
 
     #[test]
     fn publication_preserves_program_order() {
-        // Writer publishes version word then data word; a racing plain
-        // reader that sees the new data must also see the new version.
+        // A writer publishes two watched data words with the same value,
+        // `first` before `last`, with a run of 64 other data words between
+        // them.  A reader loading the raw heap cells (waiting on no line
+        // lock, unlike `nt_load`) that sees the new `last` must also see
+        // the new `first`; data words published out of program order leave
+        // a 64-store window in which it does not.
         let (sim, base) = setup(HtmConfig::default());
-        let version_addr = base;
-        let data_addr = base.offset(64);
-        let writer_sim = Arc::clone(&sim);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let reader = std::thread::spawn(move || {
-            let mut violations = 0u64;
-            while !stop2.load(Ordering::SeqCst) {
-                let d = sim.nt_load(data_addr);
-                let v = sim.nt_load(version_addr);
-                // data is written with the same value as the version; seeing
-                // data ahead of version means program order was violated.
-                if d > v {
-                    violations += 1;
+        let (first, last) = (base, base.offset(65));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let sim = Arc::clone(&sim);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut t = HtmThread::new(sim, 1);
+                for i in 1..=20_000u64 {
+                    loop {
+                        t.begin();
+                        let attempt = t
+                            .write(first, i)
+                            .and_then(|()| (1..=64).try_for_each(|k| t.write(base.offset(k), i)))
+                            .and_then(|()| t.write(last, i));
+                        if attempt.and_then(|()| t.commit()).is_ok() {
+                            break;
+                        }
+                    }
                 }
-            }
-            violations
-        });
-        let mut t = HtmThread::new(writer_sim, 1);
-        for i in 1..=20_000u64 {
-            loop {
-                t.begin();
-                let attempt = (|| {
-                    t.write(version_addr, i)?;
-                    t.write(data_addr, i)?;
-                    t.commit()
-                })();
-                if attempt.is_ok() {
-                    break;
-                }
-            }
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let heap = sim.mem().heap();
+        let (mut probes, mut violations) = (0u64, 0u64);
+        while !done.load(Ordering::SeqCst) {
+            let l = heap.load(last);
+            let f = heap.load(first);
+            probes += 1;
+            violations += u64::from(l > f);
         }
-        stop.store(true, Ordering::SeqCst);
-        assert_eq!(reader.join().unwrap(), 0);
+        writer.join().unwrap();
+        assert!(probes > 0, "the reader never probed");
+        assert_eq!(violations, 0, "of {probes} probes");
     }
 
     #[test]

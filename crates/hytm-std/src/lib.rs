@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use rhtm_api::{
     retry, AbortCause, AttemptContext, Backoff, PathClass, PathKind, RetryDecision,
-    RetryPolicyHandle, RetryRng, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
+    RetryPolicyHandle, RetryThread, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
 };
 use rhtm_htm::{HtmConfig, HtmSim, HtmThread};
 use rhtm_mem::{stamp, Addr, MemConfig, ThreadRegistry, ThreadToken, TmMemory};
@@ -150,20 +150,21 @@ impl TmRuntime for StdHytmRuntime {
         let token = self.registry.register();
         let htm = HtmThread::new(Arc::clone(&self.sim), token.id() as u64);
         let tl2 = Tl2Engine::new(Arc::clone(&self.sim), token.id());
-        let rng = RetryRng::new(0x5354_4459_544d ^ (token.id() as u64 + 1) << 17);
-        let policy_wants_commit = self.config.retry_policy.wants_commit_hook();
+        let retry = RetryThread::new(
+            &self.config.retry_policy,
+            0x5354_4459_544d ^ (token.id() as u64 + 1) << 17,
+        );
         StdHytmThread {
             sim: Arc::clone(&self.sim),
             htm,
             tl2,
             token,
             config: self.config.clone(),
-            policy_wants_commit,
+            retry,
             stats: TxStats::new(false),
             on_hardware: true,
             next_ver: 0,
             in_txn: false,
-            rng,
         }
     }
 }
@@ -175,16 +176,14 @@ pub struct StdHytmThread {
     tl2: Tl2Engine,
     token: ThreadToken,
     config: StdHytmConfig,
-    /// Cached [`rhtm_api::RetryPolicy::wants_commit_hook`] answer.
-    policy_wants_commit: bool,
+    /// The retry policy with this thread's RNG and circuit.
+    retry: RetryThread,
     stats: TxStats,
     /// Whether the attempt in progress runs on the hardware path.
     on_hardware: bool,
     /// Version the hardware path installs on written stripes.
     next_ver: u64,
     in_txn: bool,
-    /// Per-thread RNG feeding the retry policy (backoff jitter).
-    rng: RetryRng,
 }
 
 impl StdHytmThread {
@@ -302,11 +301,8 @@ impl TmThread for StdHytmThread {
                     } else {
                         self.stats.record_commit(PathKind::Software);
                     }
-                    if self.policy_wants_commit {
-                        self.config
-                            .retry_policy
-                            .on_commit(self.on_hardware, &mut self.stats.retry);
-                    }
+                    self.retry
+                        .on_commit(self.on_hardware, &mut self.stats.retry);
                     break r;
                 }
                 Err(abort) => {
@@ -331,11 +327,7 @@ impl TmThread for StdHytmThread {
                         fallback_rh2: 0,
                         fallback_all_software: 0,
                     };
-                    let decision = self.config.retry_policy.decide_clamped_observed(
-                        &ctx,
-                        &mut self.rng,
-                        &mut self.stats.retry,
-                    );
+                    let decision = self.retry.decide(&ctx, &mut self.stats.retry);
                     if self.on_hardware {
                         // `hardware_only` is a contract: a contention
                         // demote from a budget-ignoring policy is dropped;

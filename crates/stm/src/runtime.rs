@@ -6,7 +6,7 @@ use rhtm_api::Backoff;
 
 use rhtm_api::{
     retry, AbortCause, AttemptContext, PathClass, PathKind, RetryDecision, RetryPolicyHandle,
-    RetryRng, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
+    RetryThread, Stopwatch, TmRuntime, TmThread, TxResult, TxStats, Txn,
 };
 use rhtm_htm::{HtmConfig, HtmSim};
 use rhtm_mem::{Addr, MemConfig, ThreadRegistry, ThreadToken, TmMemory};
@@ -17,7 +17,7 @@ use crate::tl2::Tl2Engine;
 ///
 /// TL2 is the bottom of every fallback cascade, so there is nowhere to
 /// demote to: the retry policy only controls how aborted attempts are
-/// paced (e.g. [`rhtm_api::retry::CappedExponential`] jittered backoff).
+/// paced (e.g. the `capped-exp` jittered backoff).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Tl2Config {
     /// The contention-management policy consulted after every abort.
@@ -98,16 +98,16 @@ impl TmRuntime for Tl2Runtime {
     fn register_thread(&self) -> Tl2Thread {
         let token = self.registry.register();
         let engine = Tl2Engine::new(Arc::clone(&self.sim), token.id());
-        let rng = RetryRng::new(0x544c_3252 ^ (token.id() as u64 + 1) << 19);
-        let policy_wants_commit = self.config.retry_policy.wants_commit_hook();
+        let retry = RetryThread::new(
+            &self.config.retry_policy,
+            0x544c_3252 ^ (token.id() as u64 + 1) << 19,
+        );
         Tl2Thread {
             engine,
             token,
-            policy: self.config.retry_policy.clone(),
-            policy_wants_commit,
+            retry,
             stats: TxStats::new(false),
             in_txn: false,
-            rng,
         }
     }
 }
@@ -116,13 +116,10 @@ impl TmRuntime for Tl2Runtime {
 pub struct Tl2Thread {
     engine: Tl2Engine,
     token: ThreadToken,
-    policy: RetryPolicyHandle,
-    /// Cached [`rhtm_api::RetryPolicy::wants_commit_hook`] answer.
-    policy_wants_commit: bool,
+    /// The retry policy with this thread's RNG and circuit.
+    retry: RetryThread,
     stats: TxStats,
     in_txn: bool,
-    /// Per-thread RNG feeding the retry policy (backoff jitter).
-    rng: RetryRng,
 }
 
 impl Tl2Thread {
@@ -176,9 +173,7 @@ impl TmThread for Tl2Thread {
             match outcome {
                 Ok(r) => {
                     self.stats.record_commit(PathKind::Software);
-                    if self.policy_wants_commit {
-                        self.policy.on_commit(false, &mut self.stats.retry);
-                    }
+                    self.retry.on_commit(false, &mut self.stats.retry);
                     break r;
                 }
                 Err(abort) => {
@@ -199,11 +194,7 @@ impl TmThread for Tl2Thread {
                         fallback_rh2: 0,
                         fallback_all_software: 0,
                     };
-                    match self.policy.decide_clamped_observed(
-                        &ctx,
-                        &mut self.rng,
-                        &mut self.stats.retry,
-                    ) {
+                    match self.retry.decide(&ctx, &mut self.stats.retry) {
                         RetryDecision::BackoffThen(spins) => retry::spin(spins),
                         _ => {
                             if abort.cause == AbortCause::Explicit {

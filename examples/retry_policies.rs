@@ -1,13 +1,19 @@
 //! Compares the retry policies on the bank-transfer workload at 8 threads:
 //! same transactions, same contention, different contention management.
 //!
-//! `paper-default` reproduces the paper's thresholds; `capped-exp` adds
-//! jittered exponential backoff so colliding threads do not retry in
+//! Every policy is one `ComposedPolicy`: a give-up rule, a backoff pacing,
+//! an optional circuit breaker and an optional shared retry budget.  The
+//! eight built-in labels are fixed compositions — `paper-default`
+//! reproduces the paper's thresholds; `capped-exp`, `full-jitter` and
+//! `fib` add jittered backoff so colliding threads do not retry in
 //! lockstep; `aggressive` never gives up a hardware path for contention;
 //! `adaptive` demotes on the first abort once the fallback counters show
-//! the cascade is already degraded.  The RH1 runtime uses a small hardware
-//! write capacity so the cascade (and therefore the demotion decisions)
-//! actually fires; stand-alone RH2 brackets it from the other side.
+//! the cascade is already degraded; `cb` and `budgeted` add a circuit
+//! breaker and a retry budget.  The last row is a composition no label
+//! names: Fibonacci backoff behind a circuit breaker.  The RH1 runtime
+//! uses a small hardware write capacity so the cascade (and therefore the
+//! demotion decisions) actually fires; stand-alone RH2 brackets it from
+//! the other side.
 //!
 //! Each point is one `TmSpec` (`rh1-mixed-100+adaptive`, `rh2+capped-exp`,
 //! ...) — the policy is just a spec axis — and the worker fan-out is a
@@ -17,7 +23,10 @@
 //! cargo run --release --example retry_policies
 //! ```
 
-use rhtm_api::{DynThread, DynThreadExt, PathKind, RetryPolicyHandle};
+use rhtm_api::{
+    CircuitBreakerConfig, ComposedPolicy, DynThread, DynThreadExt, Pacing, PathKind,
+    RetryPolicyHandle, SpinWindow,
+};
 use rhtm_htm::HtmConfig;
 use rhtm_mem::{Addr, MemConfig};
 use rhtm_workloads::{AlgoKind, TmSpec, WorkloadRng};
@@ -92,7 +101,16 @@ fn main() {
         "{:<14} {:>14} {:>10} {:>10}   {:>14} {:>10} {:>10}",
         "policy", "RH1 ops/s", "aborts", "demoted", "RH2 ops/s", "aborts", "demoted"
     );
-    for policy in RetryPolicyHandle::builtin() {
+    let fib_behind_a_breaker = RetryPolicyHandle::new(
+        ComposedPolicy::PAPER_DEFAULT
+            .with_pacing(Pacing::Fibonacci(SpinWindow::DEFAULT))
+            .with_breaker(CircuitBreakerConfig::default()),
+    );
+    let policies = RetryPolicyHandle::builtin()
+        .into_iter()
+        .map(|p| (p.label(), p))
+        .chain([("fib+cb", fib_behind_a_breaker)]);
+    for (name, policy) in policies {
         // A small write capacity keeps the RH cascade (and its demotion
         // decisions) busy.
         let rh1_out = run_bank(
@@ -104,7 +122,7 @@ fn main() {
 
         println!(
             "{:<14} {:>14.0} {:>9.2}% {:>9.2}%   {:>14.0} {:>9.2}% {:>9.2}%",
-            policy.label(),
+            name,
             rh1_out.ops_per_sec,
             rh1_out.abort_ratio * 100.0,
             rh1_out.software_share * 100.0,

@@ -1,7 +1,7 @@
-//! Retry 2.0 under phased load: property tests that the circuit breaker
-//! actually sheds doomed hardware work when a flash crowd arrives, plus
-//! the golden neutrality guarantee (an infinite-threshold breaker is
-//! byte-equivalent to its wrapped policy).
+//! The circuit breaker and retry budget under phased load: property tests
+//! that the breaker actually sheds doomed hardware work when a flash crowd
+//! arrives, plus the golden neutrality guarantee (an infinite-threshold
+//! breaker is byte-equivalent to the same policy without one).
 //!
 //! All runs are single-threaded over the simulated HTM's *injected* abort
 //! knobs (forced/spurious abort rates), so every assertion is
@@ -11,16 +11,14 @@
 
 use std::sync::Arc;
 
-use rhtm_api::{AbortCause, CircuitBreaker, CircuitBreakerConfig, RetryPolicyHandle};
+use rhtm_api::{AbortCause, CircuitBreakerConfig, ComposedPolicy, RetryPolicyHandle};
 use rhtm_htm::{HtmConfig, HtmSim};
 use rhtm_mem::MemConfig;
 use rhtm_workloads::{
     AlgoKind, BenchResult, ConstantHashTable, DriverOpts, OpMix, Scenario, TmSpec,
 };
 
-/// splitmix64: the fuzz-seed stream (also the mixer behind
-/// `RetryRng::fork`, so the seeds here are exactly as decorrelated as the
-/// policies' own jitter streams).
+/// splitmix64: the fuzz-seed stream.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -131,8 +129,8 @@ fn budget_exhaustion_is_observed_under_the_flash_crowd() {
 
 #[test]
 fn infinite_threshold_breaker_is_byte_identical_to_its_inner_policy() {
-    // The neutrality golden: a breaker that can never open must delegate
-    // every decision — same RNG draw sites, same counters, same TxStats
+    // The neutrality golden: a breaker that can never open must leave
+    // every decision to the give-up rule — same RNG draw sites, same counters, same TxStats
     // bit for bit — so wrapping a policy is observationally free until the
     // threshold is finite.
     let run = |policy: RetryPolicyHandle| {
@@ -148,20 +146,19 @@ fn infinite_threshold_breaker_is_byte_identical_to_its_inner_policy() {
             )
     };
     let inner = run(RetryPolicyHandle::paper_default());
-    let neutered = run(RetryPolicyHandle::new(CircuitBreaker::new(
-        &RetryPolicyHandle::paper_default(),
-        CircuitBreakerConfig {
+    let neutered = run(RetryPolicyHandle::new(
+        ComposedPolicy::PAPER_DEFAULT.with_breaker(CircuitBreakerConfig {
             open_threshold: u32::MAX,
             ..CircuitBreakerConfig::default()
-        },
-    )));
+        }),
+    ));
     assert!(
         inner.stats.aborts() > 0,
         "the equivalence must be exercised under real aborts"
     );
     assert_eq!(
         inner.stats, neutered.stats,
-        "an unopenable breaker must be byte-equivalent to its inner policy"
+        "an unopenable breaker must be byte-equivalent to paper-default"
     );
     assert_eq!(inner.total_ops, neutered.total_ops);
 }

@@ -1,6 +1,6 @@
 //! The retry-policy layer, end to end.
 //!
-//! * **Seed equivalence** — with the default [`PaperDefault`] policy every
+//! * **Seed equivalence** — with the default `paper-default` policy every
 //!   runtime must reproduce the pre-refactor retry loops *bit-identically*:
 //!   the golden `TxStats` below were captured from the seed implementation
 //!   (hardcoded thresholds, inlined `Backoff` + counter logic) on fixed-seed
@@ -15,16 +15,16 @@
 //!   runtime, under fallback pressure, must conserve the bank-transfer
 //!   balance: a policy can change *when* paths give up, never *whether* the
 //!   outcome is serialisable.
+//! * **Per-thread state** — runtimes sharing one policy never share its
+//!   circuit breaker.
 //!
-//! [`PaperDefault`]: rhtm_api::retry::PaperDefault
 //! [`RetryPolicy`]: rhtm_api::RetryPolicy
 
 use std::sync::{Arc, Mutex};
 
-use rhtm_api::retry::PaperDefault;
 use rhtm_api::{
-    AttemptContext, PathClass, RetryDecision, RetryPolicy, RetryPolicyHandle, RetryRng, TmRuntime,
-    TmThread, TxStats, Txn,
+    AttemptContext, ComposedPolicy, PathClass, RetryDecision, RetryMetrics, RetryPolicy,
+    RetryPolicyHandle, RetryState, TmRuntime, TmThread, TxStats, Txn,
 };
 use rhtm_core::{RhConfig, RhRuntime};
 use rhtm_htm::{HtmConfig, HtmRuntime, HtmRuntimeConfig};
@@ -115,7 +115,7 @@ fn assert_golden(name: &str, stats: &TxStats, golden: &Golden) {
 }
 
 // ---------------------------------------------------------------------
-// Seed equivalence: PaperDefault == the pre-refactor loops, bit for bit
+// Seed equivalence: paper-default == the pre-refactor loops, bit for bit
 // ---------------------------------------------------------------------
 
 #[test]
@@ -297,7 +297,7 @@ fn explicit_paper_default_equals_the_default_config() {
 // Budget semantics: N = max extra attempts, at both commit-time sites
 // ---------------------------------------------------------------------
 
-/// A recording wrapper: decides like [`PaperDefault`] and logs every
+/// A recording wrapper: decides like `paper-default` and logs every
 /// context it saw, so tests can assert what the runtimes actually ask.
 #[derive(Clone, Debug)]
 struct Recording {
@@ -317,9 +317,14 @@ impl RetryPolicy for Recording {
         "recording"
     }
 
-    fn decide(&self, ctx: &AttemptContext, rng: &mut RetryRng) -> RetryDecision {
+    fn decide(
+        &self,
+        ctx: &AttemptContext,
+        state: &mut RetryState,
+        metrics: &mut RetryMetrics,
+    ) -> RetryDecision {
         self.seen.lock().unwrap().push(*ctx);
-        PaperDefault.decide(ctx, rng)
+        ComposedPolicy::PAPER_DEFAULT.decide(ctx, state, metrics)
     }
 }
 
@@ -482,8 +487,8 @@ fn every_policy_conserves_balance_on_the_baselines() {
 
 #[test]
 fn aggressive_never_demotes_where_paper_default_does() {
-    // Under pure spurious pressure with a zero budget, PaperDefault's
-    // Standard HyTM demotes to software immediately; Aggressive stays in
+    // Under pure spurious pressure with a zero budget, paper-default's
+    // Standard HyTM demotes to software immediately; aggressive stays in
     // hardware for every commit.
     let run = |policy: RetryPolicyHandle| {
         let rt = StdHytmRuntime::new(
@@ -532,4 +537,52 @@ fn protected_instructions_survive_every_policy() {
         });
         assert_eq!(v, 3, "{}", policy.label());
     }
+}
+
+// ---------------------------------------------------------------------
+// Per-thread state: runtimes sharing one policy keep separate circuits
+// ---------------------------------------------------------------------
+
+#[test]
+fn runtimes_sharing_a_breaker_policy_keep_separate_circuits() {
+    // The shape of one KV worker thread serving two shards: both shards'
+    // runtimes are built from clones of one `cb` policy, and one OS thread
+    // registers with both.  Mix 0 means the paper rule never demotes a
+    // contention abort, so any demotion below is the breaker's own.
+    let config = RhConfig::rh1_mixed(0).with_retry_policy(RetryPolicyHandle::circuit_breaker());
+    // Every hardware attempt that writes is forced to abort.
+    let shard = || {
+        RhRuntime::new(
+            mem(),
+            HtmConfig::default().with_forced_abort_ratio(1.0),
+            config.clone(),
+        )
+    };
+    let (a, b) = (shard(), shard());
+    let (addr_a, addr_b) = (a.mem().alloc(1), b.mem().alloc(1));
+    let increment = |addr| {
+        move |tx: &mut rhtm_core::RhThread| {
+            let v = tx.read(addr)?;
+            tx.write(addr, v + 1)
+        }
+    };
+    let mut ta = a.register_thread();
+    let mut tb = b.register_thread();
+
+    // A's circuit opens on its 4th failure and the transaction commits on
+    // the slow path.
+    ta.execute(increment(addr_a));
+    assert_eq!(ta.stats().retry.circuit_opens, 1);
+    assert_eq!(ta.stats().retry.retry_here, 3);
+
+    // B's circuit is its own and still closed: its first hardware abort is
+    // retried in hardware, and B trips only after its own 4 failures.
+    tb.execute(increment(addr_b));
+    let retry = &tb.stats().retry;
+    assert_eq!(
+        (retry.retry_here, retry.demote, retry.circuit_opens),
+        (3, 1, 1),
+        "shard B's first aborts were decided by shard A's open circuit"
+    );
+    assert_eq!(b.mem().heap().load(addr_b), 1);
 }
